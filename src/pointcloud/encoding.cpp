@@ -85,6 +85,29 @@ std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
   return crc;
 }
 
+/// Whether origin + res * u + shift, computed as the decoders compute it,
+/// stays within +-kMaxDecodedCoordinate for every u16 offset u. Each step of
+/// that arithmetic is monotone in u, so the two ends of the box decide.
+bool addressable(double origin, double res, double shift) {
+  const double first = origin + shift;
+  const double last = (origin + res * 65535.0) + shift;
+  return std::abs(first) <= kMaxDecodedCoordinate &&
+         std::abs(last) <= kMaxDecodedCoordinate;
+}
+
+/// Keyframe-style block check shared by both decoders: kBadOrigin when the
+/// origin itself is non-finite or out of range, kBadResolution when the
+/// resolution carries the box out of range, kOk otherwise.
+DecodeStatus check_block(const geom::Vec3& origin, double res) {
+  for (const double o : {origin.x, origin.y, origin.z}) {
+    if (!(std::abs(o) <= kMaxDecodedCoordinate)) return DecodeStatus::kBadOrigin;
+  }
+  for (const double o : {origin.x, origin.y, origin.z}) {
+    if (!addressable(o, res, 0.0)) return DecodeStatus::kBadResolution;
+  }
+  return DecodeStatus::kOk;
+}
+
 /// CRC over everything except the checksum field itself.
 std::uint32_t buffer_crc(const std::vector<std::uint8_t>& bytes) {
   std::uint32_t crc = 0xffffffffu;
@@ -203,11 +226,8 @@ DecodeResult try_decode(const EncodedCloud& enc) {
     return out;
   }
   const geom::Vec3 origin{get_f64(p + 16), get_f64(p + 24), get_f64(p + 32)};
-  if (!std::isfinite(origin.x) || !std::isfinite(origin.y) ||
-      !std::isfinite(origin.z)) {
-    out.status = DecodeStatus::kBadOrigin;
-    return out;
-  }
+  out.status = check_block(origin, res);
+  if (!out.ok()) return out;
   out.cloud.reserve(count);
   const std::uint8_t* q = p + kHeaderBytes;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -464,11 +484,8 @@ DecodeResult try_decode_delta(const EncodedCloud& enc,
   const geom::Vec3 origin{get_f64(p + kDeltaAddedOriginOffset),
                           get_f64(p + kDeltaAddedOriginOffset + 8),
                           get_f64(p + kDeltaAddedOriginOffset + 16)};
-  if (!std::isfinite(origin.x) || !std::isfinite(origin.y) ||
-      !std::isfinite(origin.z)) {
-    out.status = DecodeStatus::kBadOrigin;
-    return out;
-  }
+  out.status = check_block(origin, res);
+  if (!out.ok()) return out;
   if (base == nullptr) {
     out.status = DecodeStatus::kMissingBase;
     return out;
@@ -482,6 +499,14 @@ DecodeResult try_decode_delta(const EncodedCloud& enc,
           get_u32(base->bytes.data() + kCrcOffset) ||
       get_f64(base->bytes.data() + 8) != res) {
     out.status = DecodeStatus::kBaseMismatch;
+    return out;
+  }
+  // Surviving base points are base origin + res * u + motion.
+  const std::uint8_t* bh = base->bytes.data();
+  if (!addressable(get_f64(bh + 16), res, motion.x) ||
+      !addressable(get_f64(bh + 24), res, motion.y) ||
+      !addressable(get_f64(bh + 32), res, motion.z)) {
+    out.status = DecodeStatus::kBadMotion;
     return out;
   }
   const std::uint8_t* removed_p = p + kDeltaHeaderBytes;

@@ -33,6 +33,13 @@ inline constexpr std::size_t kEncodedHeaderBytes =
     4 /*count*/ + 4 /*crc32*/ + 8 /*resolution*/ + 3 * 8 /*origin*/;
 inline constexpr std::size_t kBytesPerPoint = 6;  // 3 x uint16 offsets
 
+/// Largest coordinate magnitude (meters) a decoder lets through. A header
+/// whose addressable box (origin + resolution * [0, 65535] per axis, moved
+/// by the motion field for a delta) reaches beyond it is rejected, so every
+/// decoded coordinate is finite and `voxel_of` keys it without int64
+/// overflow for any voxel side >= 1 nm (1e9 / 1e-9 = 1e18 < 2^63).
+inline constexpr double kMaxDecodedCoordinate = 1e9;
+
 /// Delta chunk constants (DESIGN.md §16). A delta buffer is distinguished
 /// from a keyframe by a magic word where the keyframe stores its resolution;
 /// the two exact-size equations are mutually unsatisfiable, so neither codec
@@ -60,14 +67,17 @@ enum class DecodeStatus : std::uint8_t {
   kTruncatedHeader,  ///< fewer than kEncodedHeaderBytes bytes
   kSizeMismatch,     ///< buffer size != header + count * stride
   kBadChecksum,      ///< CRC32 over (header-sans-crc + payload) disagrees
-  kBadResolution,    ///< resolution non-finite or <= 0
-  kBadOrigin,        ///< any origin component non-finite
+  kBadResolution,    ///< resolution non-finite or <= 0, or it addresses
+                     ///< points beyond kMaxDecodedCoordinate
+  kBadOrigin,        ///< any origin component non-finite or beyond
+                     ///< kMaxDecodedCoordinate
   // Delta-chunk statuses (try_decode_delta only).
   kNotDelta,         ///< magic word missing: buffer is not a delta chunk
   kMissingBase,      ///< no base supplied, or the base buffer is invalid
   kBaseMismatch,     ///< base CRC in the header != supplied base's CRC
   kBadRemovedIndex,  ///< removed indices not ascending or out of base range
-  kBadMotion,        ///< any motion component non-finite
+  kBadMotion,        ///< any motion component non-finite, or it moves base
+                     ///< points beyond kMaxDecodedCoordinate
 };
 
 const char* to_string(DecodeStatus s);

@@ -2,11 +2,11 @@
 
 #include "core/check.hpp"
 
+#include <limits>
 #include <random>
 
 #include "core/rng.hpp"
 #include "pointcloud/dbscan.hpp"
-#include "pointcloud/voxel_grid.hpp"
 
 namespace erpd::pc {
 namespace {
@@ -76,6 +76,21 @@ TEST(Dbscan, InvalidConfigThrows) {
   EXPECT_THROW(dbscan(PointCloud{}, {0.5, 0}), erpd::ContractViolation);
 }
 
+// The grid keys cells from the cloud's minimum corner: a coordinate it
+// cannot key (non-finite, or over 2^40 cells away) is a contract violation,
+// never undefined behaviour.
+TEST(Dbscan, UnkeyableCoordinatesThrow) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    PointCloud c{{{0.0, 0.0, 0.0}, {bad, 1.0, 1.0}}};
+    EXPECT_THROW(dbscan(c, {0.5, 2}), erpd::ContractViolation) << bad;
+  }
+  const PointCloud far{{{0.0, 0.0, 0.0}, {0.0, 1e9, 0.0}}};
+  EXPECT_THROW(dbscan(far, {1e-6, 2}), erpd::ContractViolation);
+  EXPECT_EQ(dbscan(far, {0.5, 2}).cluster_count, 0);
+}
+
 TEST(Dbscan, ClusterIndicesMatchLabels) {
   std::mt19937_64 rng(3);
   PointCloud c = blob({0, 0}, 20, 0.2, rng);
@@ -87,6 +102,18 @@ TEST(Dbscan, ClusterIndicesMatchLabels) {
   EXPECT_EQ(c0.size() + c1.size(), c.size());
   for (std::size_t i : c0) EXPECT_EQ(r.labels[i], 0);
   for (std::size_t i : c1) EXPECT_EQ(r.labels[i], 1);
+}
+
+TEST(Dbscan, ClusterIndicesRejectsOutOfRangeIds) {
+  std::mt19937_64 rng(3);
+  PointCloud c = blob({0, 0}, 20, 0.2, rng);
+  c.push_back({50.0, 50.0, 0.5});  // noise
+  const DbscanResult r = dbscan(c, {0.8, 4});
+  ASSERT_EQ(r.cluster_count, 1);
+  ASSERT_EQ(r.labels.back(), kNoise);
+  EXPECT_THROW(r.cluster_indices(kNoise), erpd::ContractViolation);
+  EXPECT_THROW(r.cluster_indices(1), erpd::ContractViolation);
+  EXPECT_EQ(r.cluster_indices(0).size(), 20u);
 }
 
 TEST(Dbscan, ExtractClustersSummaries) {
@@ -129,46 +156,6 @@ TEST_P(DbscanDensityInvariant, EveryClusterMemberNearAnotherMember) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbscanDensityInvariant,
                          ::testing::Values(11, 22, 33, 44, 55));
-
-// The dense CSR layout must return byte-identical neighbor lists (same
-// indices, same order) as the spatial-hash fallback it replaced on the hot
-// path — DBSCAN's expansion order, and with it cluster labels, depend on it.
-TEST(PointGrid, DenseAndSparseLayoutsReturnIdenticalNeighborLists) {
-  std::mt19937_64 rng = core::seeded_rng(321);
-  std::uniform_real_distribution<double> u(-30.0, 30.0);
-  PointCloud c;
-  for (int i = 0; i < 800; ++i) {
-    c.push_back({u(rng), u(rng), 0.5 + 0.01 * u(rng)});
-  }
-  const double cell = 0.8;
-  const PointGrid dense(c, cell);
-  const PointGrid sparse(c, cell, /*allow_dense=*/false);
-  ASSERT_TRUE(dense.dense());
-  ASSERT_FALSE(sparse.dense());
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    ASSERT_EQ(dense.radius_neighbors(i, cell), sparse.radius_neighbors(i, cell))
-        << "query point " << i;
-  }
-  for (int k = 0; k < 200; ++k) {
-    const Vec3 q{u(rng), u(rng), u(rng) * 0.1};
-    ASSERT_EQ(dense.radius_neighbors(q, cell), sparse.radius_neighbors(q, cell))
-        << "free query " << k;
-  }
-}
-
-// Clouds whose occupied extent exceeds the dense-cell budget must fall back
-// to the spatial hash and still answer queries correctly.
-TEST(PointGrid, HugeExtentFallsBackToSparse) {
-  PointCloud c;
-  c.push_back({0.0, 0.0, 0.0});
-  c.push_back({0.1, 0.0, 0.0});
-  c.push_back({1e7, 1e7, 1e7});  // blows out the cell budget at cell = 0.5
-  const PointGrid grid(c, 0.5);
-  EXPECT_FALSE(grid.dense());
-  EXPECT_EQ(grid.radius_neighbors(std::size_t{0}, 0.5),
-            (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(grid.radius_neighbors(std::size_t{2}, 0.5).empty());
-}
 
 }  // namespace
 }  // namespace erpd::pc

@@ -222,6 +222,47 @@ TEST(TryDecode, RejectsNonFiniteOrigin) {
   }
 }
 
+// A CRC-valid header may still address coordinates that overflow (inf) or
+// that no voxel key can hold: the whole box origin + res * [0, 65535] must
+// stay within kMaxDecodedCoordinate.
+TEST(TryDecode, RejectsBoxBeyondDecodableRange) {
+  std::mt19937_64 rng(18);
+  const EncodedCloud valid = encode(random_cloud(4, 2.0, rng));
+  const auto forged = [&](std::size_t offset, double d) {
+    EncodedCloud e = valid;
+    patch_f64(e, offset, d);
+    refresh_crc(e);
+    return try_decode(e).status;
+  };
+  // Overflows to inf, and finite points near 5e306 behind an infinite box.
+  EXPECT_EQ(forged(8, 1e307), DecodeStatus::kBadResolution);
+  EXPECT_EQ(forged(8, 1e305), DecodeStatus::kBadResolution);
+  EXPECT_EQ(forged(8, 1e5), DecodeStatus::kBadResolution);
+  for (const std::size_t offset : {std::size_t{16}, std::size_t{24},
+                                   std::size_t{32}}) {
+    EXPECT_EQ(forged(offset, 2.0 * kMaxDecodedCoordinate),
+              DecodeStatus::kBadOrigin) << offset;
+    EXPECT_EQ(forged(offset, -2.0 * kMaxDecodedCoordinate),
+              DecodeStatus::kBadOrigin) << offset;
+    // In range itself, but the box's far end is not.
+    EXPECT_EQ(forged(offset, kMaxDecodedCoordinate - 1.0),
+              DecodeStatus::kBadResolution) << offset;
+    // The box's near end sits exactly on the bound.
+    const DecodeResult r = [&] {
+      EncodedCloud e = valid;
+      patch_f64(e, offset, -kMaxDecodedCoordinate);
+      refresh_crc(e);
+      return try_decode(e);
+    }();
+    ASSERT_TRUE(r.ok()) << offset;
+    for (const Vec3& q : r.cloud.points()) {
+      EXPECT_LE(std::abs(q.x), kMaxDecodedCoordinate);
+      EXPECT_LE(std::abs(q.y), kMaxDecodedCoordinate);
+      EXPECT_LE(std::abs(q.z), kMaxDecodedCoordinate);
+    }
+  }
+}
+
 TEST(TryDecode, DecodeContractChecksTheSameValidation) {
   std::mt19937_64 rng(17);
   EncodedCloud e = encode(random_cloud(8, 5.0, rng));
@@ -561,6 +602,34 @@ TEST(TryDecode, DeltaRejectsBadRemovedIndicesMotionAndResolution) {
   refresh_crc(bad_origin);
   EXPECT_EQ(try_decode_delta(bad_origin, &base).status,
             DecodeStatus::kBadOrigin);
+}
+
+// The delta's added block obeys the keyframe bound, and the motion may not
+// carry the base's box beyond it either.
+TEST(TryDecode, DeltaRejectsBoxBeyondDecodableRange) {
+  const PointCloud c = lattice_cloud(40);
+  const EncodedCloud base = encode(c, kResCfg);
+  const std::optional<EncodedCloud> d =
+      encode_delta(churned(c), base, kResCfg);
+  ASSERT_TRUE(d.has_value());
+  ASSERT_TRUE(try_decode_delta(*d, &base).ok());
+  const auto forged = [&](std::size_t offset, double v) {
+    EncodedCloud e = *d;
+    patch_f64(e, offset, v);
+    refresh_crc(e);
+    return try_decode_delta(e, &base).status;
+  };
+  for (const std::size_t axis : {std::size_t{0}, std::size_t{8},
+                                 std::size_t{16}}) {
+    EXPECT_EQ(forged(28 + axis, 2.0 * kMaxDecodedCoordinate),
+              DecodeStatus::kBadMotion) << axis;
+    EXPECT_EQ(forged(28 + axis, -kMaxDecodedCoordinate - 1e3),
+              DecodeStatus::kBadMotion) << axis;
+    EXPECT_EQ(forged(52 + axis, 5.0 * kMaxDecodedCoordinate),
+              DecodeStatus::kBadOrigin) << axis;
+    EXPECT_EQ(forged(52 + axis, kMaxDecodedCoordinate - 1.0),
+              DecodeStatus::kBadResolution) << axis;
+  }
 }
 
 // Structure-aware fuzz for the delta decoder, mirroring the keyframe fuzz:
