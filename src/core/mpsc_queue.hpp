@@ -9,10 +9,15 @@
 // order). Concurrency comes from producers writing disjoint lanes in
 // parallel; ordering comes from the lane indices, never from the schedule.
 //
+// SystemRunner does not use it: with one upload per vehicle per frame a lane
+// can never fill, so its uplink fate pass applies the drain cap directly in
+// site order. The queue stays for callers that drive it themselves, such as
+// the frame benchmark's traced replay.
+//
 // Synchronization contract (deliberately lock- and atomic-free):
-//   * at most one producer touches a given lane at a time — in the pipeline
-//     a lane is a sensing fan-out slot, so parallel_for's "one task per
-//     index" discipline enforces this for free;
+//   * at most one producer touches a given lane at a time — when a lane is
+//     a parallel_for index, its "one task per index" discipline enforces
+//     this for free;
 //   * drain()/clear()/size() run only after all producers have quiesced —
 //     the pool join at the end of the parallel region is the happens-before
 //     edge, exactly as for the index-addressed result slots the fan-out

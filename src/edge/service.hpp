@@ -1,15 +1,16 @@
 #pragma once
 // Service-mode edge pipeline: SLO-aware admission control (DESIGN.md §17).
 //
-// The paper's edge is an always-on service, not a lockstep callee: uploads
-// arrive through bounded ingest queues and the decode+merge stage runs under
-// a per-frame deadline budget. This header holds the knobs (ServiceConfig,
-// default-off so the classic pipeline stays bit-identical) and the admission
-// controller that generalizes the ingest guard's point-budget shedding into
-// LATENCY-aware shedding: each upload's decode+merge cost is estimated from
-// its point/object counts, charged against a net::LatencyBudget, and work
-// that does not fit is deferred to the next frame (bounded parking lot) or
-// shed — lowest perception value first.
+// The paper's edge is an always-on service, not a lockstep callee: at most a
+// bounded number of uploads is drained into it per frame, and the
+// decode+merge stage runs under a per-frame deadline budget. This header
+// holds the knobs (ServiceConfig, default-off so the classic pipeline stays
+// bit-identical) and the admission controller that generalizes the ingest
+// guard's point-budget shedding into LATENCY-aware shedding: each upload's
+// decode+merge cost is estimated from its point/object counts, charged
+// against a net::LatencyBudget, and work that does not fit is deferred to
+// the next frame (bounded parking lot) or shed — lowest perception value
+// first.
 //
 // Determinism: the controller runs single-threaded in upload order after the
 // ingest guard; every decision is a pure function of the admitted upload
@@ -28,15 +29,18 @@
 namespace erpd::edge {
 
 struct ServiceConfig {
-  /// Master switch for service mode (ingest queues in the runner + deadline
-  /// admission at the edge). Off by default: the lockstep pipeline is
-  /// untouched and every committed fingerprint stays byte-identical.
+  /// Master switch for service mode (the drain cap in the runner + deadline
+  /// admission at the edge). Off by default, and then every knob below is
+  /// ignored: every committed fingerprint stays byte-identical.
   bool enabled{false};
-  /// Upload frames one ingest-queue lane buffers before refusing pushes
-  /// (per-producer bound; a refused frame is billed as backpressure).
+  /// Capacity of one core::MpscLaneQueue lane. SystemRunner gives each
+  /// vehicle at most one upload per frame, so this bound can never bind
+  /// there; it is validated and kept for callers that drive the queue
+  /// directly (the frame benchmark's traced replay).
   std::size_t queue_lane_depth{4};
-  /// Upload frames drained from the ingest queue per pipeline frame across
-  /// all lanes; the overflow is dropped as backpressure. 0 = unbounded.
+  /// Surviving (not lost) upload frames drained to the edge per pipeline
+  /// frame, in site order; the rest are dropped as backpressure.
+  /// 0 = unbounded.
   std::size_t queue_drain_max{0};
   /// Per-frame decode+merge deadline budget in microseconds of estimated
   /// cost. 0 disables latency shedding (admission passes everything).

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "core/check.hpp"
-#include "core/mpsc_queue.hpp"
 #include "core/thread_pool.hpp"
 #include "obs/span.hpp"
 #include "pointcloud/encoding.hpp"
@@ -260,12 +259,11 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   double sum_backpressure = 0.0;
   int pipeline_frames = 0;
 
-  // Fault-injection bookkeeping. With an inactive FaultConfig the channel
-  // never drops, jitters or disconnects anything and every counter below
-  // stays zero, so the run is bit-identical to the lossless pipeline.
+  // Fault-injection bookkeeping. With an inactive FaultConfig every channel
+  // query answers "no fault" (false / 0 jitter) and bumps no counter, so the
+  // run is bit-identical to the lossless pipeline without any guard here.
   net::LossyChannel channel(cfg_.fault);
   channel.attach_metrics(metrics);
-  const bool faults = channel.active();
   std::size_t upload_frames_offered = 0;
   std::size_t upload_frames_lost = 0;
   std::size_t downlink_selected = 0;
@@ -277,12 +275,16 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
   // to stale-replay corruption. Only maintained while corruption is active.
   std::map<sim::AgentId, net::UploadFrame> replay_cache;
   const bool wire_faults =
-      faults && (channel.corruption_active() || channel.has_byzantine());
+      channel.corruption_active() || channel.has_byzantine();
 
   const int steps =
       static_cast<int>(std::llround(cfg_.duration / world.config().dt));
   const bool capped = cfg_.method == Method::kEmp || cfg_.method == Method::kOurs;
   const bool service_mode = cfg_.service.enabled;
+  // Service mode's ingest drain cap: at most this many surviving uploads
+  // reach the edge per frame (0 = no cap). Gated on `enabled` so a disabled
+  // service ignores every knob.
+  const std::size_t drain_max = service_mode ? cfg_.service.queue_drain_max : 0;
 
   for (int frame = 0; frame < steps; ++frame) {
     if (cfg_.method != Method::kSingle &&
@@ -298,22 +300,19 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
         }
       }
       // --- Vehicle-side sensing & extraction ---
-      std::vector<net::UploadFrame> uploads;
       std::vector<geom::Vec2> sites;
       std::vector<sim::AgentId> site_ids;
       for (auto& [vid, client] : clients) {
         const sim::Vehicle* v = world.find_vehicle(vid);
         if (v == nullptr || v->finished(net) || v->crashed()) continue;
-        if (faults) {
-          // Disconnected vehicles neither sense-for-upload nor count as
-          // Voronoi sites; on reconnect the local pipeline restarts because
-          // its frame-differencing baseline is stale.
-          const bool off = channel.vehicle_offline(vid, world.time());
-          bool& was_off = offline_prev[vid];
-          if (was_off && !off) client.reset_pipeline();
-          was_off = off;
-          if (off) continue;
-        }
+        // Disconnected vehicles neither sense-for-upload nor count as
+        // Voronoi sites; on reconnect the local pipeline restarts because its
+        // frame-differencing baseline is stale.
+        const bool off = channel.vehicle_offline(vid, world.time());
+        bool& was_off = offline_prev[vid];
+        if (was_off && !off) client.reset_pipeline();
+        was_off = off;
+        if (off) continue;
         sites.push_back(v->position(net));
         site_ids.push_back(vid);
       }
@@ -327,68 +326,14 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       // within a frame).
       const std::vector<sim::AgentSnapshot> truth = world.snapshot();
       std::vector<ClientFrameStats> stats(site_ids.size());
-      // Byte fates resolved during/just after the fan-out. In the classic
-      // path only offered/lost are used; service mode adds backpressure.
-      std::size_t offered_bytes = 0;
-      std::size_t lost_bytes = 0;
-      std::size_t backpressure_bytes = 0;
-      std::size_t backpressure_uploads = 0;
-      if (service_mode) {
-        // --- Service-mode ingest queue (DESIGN.md §17) ---
-        // The sensing fan-out is the producer side of a bounded MPSC lane
-        // queue (lane = fan-out slot, so producers never share a lane).
-        // Each worker decides channel loss with the same pure
-        // (seed, vehicle, frame) hash the serial path uses and pushes the
-        // surviving frame; the consumer drains in lane order under the
-        // drain cap after the pool joins. A refused push or drain overflow
-        // is the explicit backpressure fate — billed per frame like
-        // lost/capped, never silently dropped.
-        core::MpscLaneQueue<net::UploadFrame> queue(
-            site_ids.size(), cfg_.service.queue_lane_depth);
-        std::vector<std::size_t> slot_bytes(site_ids.size(), 0);
-        std::vector<std::uint8_t> slot_lost(site_ids.size(), 0);
-        std::vector<std::uint8_t> slot_refused(site_ids.size(), 0);
-        {
-          obs::StageSpan fanout_span(metrics, "stage.fanout");
-          core::parallel_for(site_ids.size(), 1, [&](std::size_t i) {
-            net::UploadFrame f =
-                clients.at(site_ids[i])
-                    .make_upload(world, &voronoi, i, &stats[i], &truth);
-            slot_bytes[i] = f.total_bytes();
-            if (faults && channel.uplink_lost(f.vehicle, frame, world.time())) {
-              slot_lost[i] = 1;
-              return;
-            }
-            if (!queue.try_push(i, std::move(f))) slot_refused[i] = 1;
-          });
-        }
-        upload_frames_offered += site_ids.size();
-        for (std::size_t i = 0; i < site_ids.size(); ++i) {
-          offered_bytes += slot_bytes[i];
-          if (slot_lost[i] != 0) {
-            ++upload_frames_lost;
-            lost_bytes += slot_bytes[i];
-          } else if (slot_refused[i] != 0) {
-            ++backpressure_uploads;
-            backpressure_bytes += slot_bytes[i];
-          }
-        }
-        uploads.reserve(site_ids.size());
-        queue.drain(
-            cfg_.service.queue_drain_max,
-            [&](net::UploadFrame&& f) { uploads.push_back(std::move(f)); },
-            [&](net::UploadFrame&& f) {
-              ++backpressure_uploads;
-              backpressure_bytes += f.total_bytes();
-            });
-      } else {
-        uploads.resize(site_ids.size());
+      std::vector<net::UploadFrame> offered(site_ids.size());
+      {
         // stage.fanout: wall time of the whole parallel sensing+extraction
         // region. The per-vehicle scan and extraction costs are recorded
         // inside make_upload (stage.sense / stage.extract).
         obs::StageSpan fanout_span(metrics, "stage.fanout");
         core::parallel_for(site_ids.size(), 1, [&](std::size_t i) {
-          uploads[i] = clients.at(site_ids[i])
+          offered[i] = clients.at(site_ids[i])
                            .make_upload(world, &voronoi, i, &stats[i], &truth);
         });
       }
@@ -403,32 +348,32 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
         suppressed_bytes += s.suppressed_bytes;
       }
 
-      // --- Uplink channel faults ---
+      // --- Uplink fates ---
       // Byte accounting: every offered byte gets exactly one fate this
-      // frame — delivered to the edge, lost to channel faults, dropped by
-      // ingest-queue backpressure (service mode only), or shed by the
-      // shared cap. (Bytes the redundancy layer avoided sending were never
-      // offered; they are tracked separately as suppressed.) Service mode
-      // already resolved offered/lost/backpressure inside the fan-out.
-      if (!service_mode) {
-        for (const net::UploadFrame& f : uploads) {
-          offered_bytes += f.total_bytes();
-        }
-        upload_frames_offered += uploads.size();
-        if (faults) {
-          // Per-message Bernoulli loss + burst outages: a lost upload frame
-          // never reaches the edge (and never consumes cap budget).
-          std::vector<net::UploadFrame> kept;
-          kept.reserve(uploads.size());
-          for (net::UploadFrame& f : uploads) {
-            if (channel.uplink_lost(f.vehicle, frame, world.time())) {
-              ++upload_frames_lost;
-              lost_bytes += f.total_bytes();
-            } else {
-              kept.push_back(std::move(f));
-            }
-          }
-          uploads = std::move(kept);
+      // frame — lost on the channel, dropped as backpressure by the
+      // service drain cap, shed by the shared cap, or delivered to the edge.
+      // (Bytes the redundancy layer avoided sending were never offered; they
+      // are tracked separately as suppressed.) One serial pass in site order
+      // decides the first two: loss is a pure (seed, vehicle, frame) hash,
+      // and a lost upload never takes a drain slot or cap budget.
+      std::size_t offered_bytes = 0;
+      std::size_t lost_bytes = 0;
+      std::size_t backpressure_bytes = 0;
+      std::size_t backpressure_uploads = 0;
+      std::vector<net::UploadFrame> uploads;
+      uploads.reserve(offered.size());
+      upload_frames_offered += offered.size();
+      for (net::UploadFrame& f : offered) {
+        const std::size_t bytes = f.total_bytes();
+        offered_bytes += bytes;
+        if (channel.uplink_lost(f.vehicle, frame, world.time())) {
+          ++upload_frames_lost;
+          lost_bytes += bytes;
+        } else if (drain_max != 0 && uploads.size() >= drain_max) {
+          ++backpressure_uploads;
+          backpressure_bytes += bytes;
+        } else {
+          uploads.push_back(std::move(f));
         }
       }
 
@@ -439,9 +384,9 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
                                     static_cast<std::size_t>(frame), metrics)
                  : std::move(uploads);
 
-      // Cap shedding measured before wire faults: corruption can *add* bytes
-      // (duplicated frames), which must never be mistaken for negative
-      // shedding. This closes the fate partition exactly.
+      // Cap shedding is measured before wire corruption: duplicated frames
+      // *add* bytes, which must never be mistaken for negative shedding.
+      // This closes the fate partition exactly.
       std::size_t delivered_pre_faults = 0;
       for (const net::UploadFrame& f : delivered) {
         delivered_pre_faults += f.total_bytes();
@@ -509,27 +454,23 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
         // net.downlink_lost_msgs inside the channel), else corrupted (billed
         // net.downlink_corrupted_msgs inside the channel), else possibly
         // past deadline (billed net.downlink_deadline_miss here). A lost or
-        // corrupted message never also counts as a deadline miss.
-        bool miss = false;
-        if (faults) {
-          if (channel.downlink_lost(d.to, d.track_id, frame, world.time())) {
-            miss = true;
-          } else if (channel.downlink_corrupted(d.to, d.track_id, frame)) {
-            // Fails the receiver's integrity check and is discarded.
-            miss = true;
-          } else {
-            const double jit = channel.downlink_jitter(d.to, d.track_id, frame);
-            max_down_jitter = std::max(max_down_jitter, jit);
-            if (cfg_.fault.downlink_deadline > 0.0) {
-              const double delay =
-                  net::transfer_delay(d.bytes, cfg_.wireless.downlink_mbps,
-                                      cfg_.wireless.base_latency) +
-                  jit;
-              if (delay > cfg_.fault.downlink_deadline) {
-                miss = true;
-                if (metrics != nullptr) {
-                  metrics->counter("net.downlink_deadline_miss").add();
-                }
+        // corrupted message (it fails the receiver's integrity check and is
+        // discarded) never also counts as a deadline miss.
+        bool miss =
+            channel.downlink_lost(d.to, d.track_id, frame, world.time()) ||
+            channel.downlink_corrupted(d.to, d.track_id, frame);
+        if (!miss) {
+          const double jit = channel.downlink_jitter(d.to, d.track_id, frame);
+          max_down_jitter = std::max(max_down_jitter, jit);
+          if (cfg_.fault.downlink_deadline > 0.0) {
+            const double delay =
+                net::transfer_delay(d.bytes, cfg_.wireless.downlink_mbps,
+                                    cfg_.wireless.base_latency) +
+                jit;
+            if (delay > cfg_.fault.downlink_deadline) {
+              miss = true;
+              if (metrics != nullptr) {
+                metrics->counter("net.downlink_deadline_miss").add();
               }
             }
           }
@@ -552,7 +493,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       // (max_feedback_age), after which the vehicle uploads everything again.
       for (const net::CoverageFeedback& fb : fo.feedback) {
         ++m.coverage_feedback_msgs;
-        if (faults && channel.feedback_lost(fb.to, frame, world.time())) {
+        if (channel.feedback_lost(fb.to, frame, world.time())) {
           ++m.coverage_feedback_lost_msgs;
           if (metrics != nullptr) {
             metrics->counter("coverage.feedback_lost_msgs").add();
@@ -582,7 +523,7 @@ MethodMetrics SystemRunner::run(sim::Scenario& sc) {
       const double t_upload =
           net::transfer_delay(delivered_bytes, cfg_.wireless.uplink_mbps,
                               cfg_.wireless.base_latency) +
-          (faults ? channel.uplink_jitter(frame) : 0.0);
+          channel.uplink_jitter(frame);
       // The frame's dissemination completes when its slowest message lands.
       const double t_down = net::transfer_delay(
           fo.downlink_bytes + fo.feedback_bytes, cfg_.wireless.downlink_mbps,

@@ -4,10 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#if defined(ERPD_LIDAR_SIMD) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace erpd::geom {
 
 Obb::Obb(Vec2 center, double heading, double length, double width)
@@ -113,85 +109,7 @@ void ObbRaySoa::add(const Obb& box, Vec2 eye) {
   const auto e = box.edges();
   edges_.insert(edges_.end(), e.begin(), e.end());
   eye_inside_.push_back(box.contains(eye) ? 1 : 0);
-  for (const Segment& s : e) {
-    edge_ax_.push_back(s.a.x);
-    edge_ay_.push_back(s.a.y);
-    edge_sx_.push_back(s.b.x - s.a.x);
-    edge_sy_.push_back(s.b.y - s.a.y);
-  }
 }
-
-#if defined(ERPD_LIDAR_SIMD) && defined(__AVX2__)
-
-double ObbRaySoa::ray_hit(std::size_t i, const Segment& ray) const {
-  if (eye_inside_[i] != 0) return 0.0;
-  // The general (non-parallel) branch of geom::intersect, four edges per
-  // lane set. Every lane performs the scalar branch's exact operation
-  // sequence — mul, mul, sub, div on the same inputs — and IEEE arithmetic
-  // is deterministic per operation, so lane k's t/u equal the scalar call's
-  // for edge k. The near-parallel lanes (|denom| < eps, where intersect
-  // falls into its collinear-overlap logic) and the final nearest-hit fold
-  // drop back to scalar: the fold keeps intersect's branch semantics (first
-  // edge wins distance ties, -0.0 survives the clamp) rather than
-  // approximating them with min/max, which differ on signed zeros.
-  constexpr double kEps = 1e-12;
-  const Vec2 rd = ray.direction();
-  const __m256d ax = _mm256_loadu_pd(edge_ax_.data() + 4 * i);
-  const __m256d ay = _mm256_loadu_pd(edge_ay_.data() + 4 * i);
-  const __m256d sx = _mm256_loadu_pd(edge_sx_.data() + 4 * i);
-  const __m256d sy = _mm256_loadu_pd(edge_sy_.data() + 4 * i);
-  const __m256d rx = _mm256_set1_pd(rd.x);
-  const __m256d ry = _mm256_set1_pd(rd.y);
-  const __m256d qpx = _mm256_sub_pd(ax, _mm256_set1_pd(ray.a.x));
-  const __m256d qpy = _mm256_sub_pd(ay, _mm256_set1_pd(ray.a.y));
-  // denom = r x s, tnum = qp x s, unum = qp x r (2-D cross products).
-  const __m256d denom =
-      _mm256_sub_pd(_mm256_mul_pd(rx, sy), _mm256_mul_pd(ry, sx));
-  const __m256d t = _mm256_div_pd(
-      _mm256_sub_pd(_mm256_mul_pd(qpx, sy), _mm256_mul_pd(qpy, sx)), denom);
-  const __m256d u = _mm256_div_pd(
-      _mm256_sub_pd(_mm256_mul_pd(qpx, ry), _mm256_mul_pd(qpy, rx)), denom);
-
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const int parallel = _mm256_movemask_pd(_mm256_cmp_pd(
-      _mm256_and_pd(denom, abs_mask), _mm256_set1_pd(kEps), _CMP_LT_OQ));
-
-  const __m256d lo = _mm256_set1_pd(-kEps);
-  const __m256d hi = _mm256_set1_pd(1.0 + kEps);
-  __m256d miss = _mm256_or_pd(_mm256_cmp_pd(t, lo, _CMP_LT_OQ),
-                              _mm256_cmp_pd(t, hi, _CMP_GT_OQ));
-  miss = _mm256_or_pd(miss, _mm256_cmp_pd(u, lo, _CMP_LT_OQ));
-  miss = _mm256_or_pd(miss, _mm256_cmp_pd(u, hi, _CMP_GT_OQ));
-  const int missed = _mm256_movemask_pd(miss);
-
-  // std::clamp(t, 0, 1) with blends that replicate its branches bit-wise.
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d tc =
-      _mm256_blendv_pd(t, zero, _mm256_cmp_pd(t, zero, _CMP_LT_OQ));
-  tc = _mm256_blendv_pd(tc, one, _mm256_cmp_pd(one, tc, _CMP_LT_OQ));
-  alignas(32) double tcs[4];
-  _mm256_store_pd(tcs, tc);
-
-  double best = -1.0;
-  const Segment* e = edges_.data() + 4 * i;
-  for (int k = 0; k < 4; ++k) {
-    double t_first;
-    if ((parallel >> k) & 1) {
-      const auto hit = intersect(ray, e[k]);
-      if (!hit) continue;
-      t_first = hit->t_first;
-    } else {
-      if ((missed >> k) & 1) continue;
-      t_first = tcs[k];
-    }
-    if (best < 0.0 || t_first < best) best = t_first;
-  }
-  return best;
-}
-
-#else
 
 double ObbRaySoa::ray_hit(std::size_t i, const Segment& ray) const {
   if (eye_inside_[i] != 0) return 0.0;
@@ -205,7 +123,5 @@ double ObbRaySoa::ray_hit(std::size_t i, const Segment& ray) const {
   }
   return best;
 }
-
-#endif  // ERPD_LIDAR_SIMD && __AVX2__
 
 }  // namespace erpd::geom

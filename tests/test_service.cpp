@@ -9,6 +9,7 @@
 
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/check.hpp"
@@ -390,21 +391,102 @@ TEST(ServiceMode, EnabledClosedLoopHoldsTheRunLevelFateIdentity) {
                 m.service_parked_residual);
 }
 
+// A passthrough service (no latency budget, no drain cap) is the lockstep
+// pipeline: under uplink and downlink loss it must make the same decisions
+// and bill the same byte fates as a disabled service, while deadline
+// admission still sees every arriving object.
+TEST(ServiceMode, PassthroughMatchesDisabled) {
+  PoolGuard guard;
+  core::set_thread_count(2);
+  using Decision =
+      std::tuple<int, sim::AgentId, int, sim::AgentId, std::size_t, double>;
+  struct Run {
+    edge::MethodMetrics m;
+    std::vector<Decision> decisions;
+  };
+  const auto run = [](bool enabled) {
+    sim::Scenario sc =
+        sim::make_unprotected_left_turn(harness::default_intersection(42));
+    edge::RunnerConfig rc = edge::make_runner_config(edge::Method::kOurs);
+    rc.duration = 3.0;
+    rc.fault.uplink_loss = 0.1;
+    rc.fault.downlink_loss = 0.1;
+    rc.service.enabled = enabled;
+    rc.service.decode_merge_budget_us = 0;
+    rc.service.queue_drain_max = 0;
+    Run out;
+    rc.on_decisions = [&out](int frame,
+                             const std::vector<net::Dissemination>& ds) {
+      for (const net::Dissemination& d : ds) {
+        out.decisions.emplace_back(frame, d.to, d.track_id, d.about, d.bytes,
+                                   d.relevance);
+      }
+    };
+    edge::SystemRunner runner(rc);
+    out.m = runner.run(sc);
+    return out;
+  };
+  const Run off = run(false);
+  const Run on = run(true);
+  EXPECT_FALSE(off.decisions.empty());
+  EXPECT_EQ(on.decisions, off.decisions);
+  EXPECT_EQ(on.m.uplink_bytes_per_frame, off.m.uplink_bytes_per_frame);
+  EXPECT_EQ(on.m.uplink_offered_bytes_per_frame,
+            off.m.uplink_offered_bytes_per_frame);
+  EXPECT_EQ(on.m.uplink_lost_bytes_per_frame,
+            off.m.uplink_lost_bytes_per_frame);
+  EXPECT_GT(off.m.uplink_lost_bytes_per_frame, 0.0);
+  EXPECT_EQ(on.m.uplink_loss_ratio, off.m.uplink_loss_ratio);
+  EXPECT_EQ(on.m.delivered_relevance, off.m.delivered_relevance);
+  EXPECT_EQ(on.m.min_key_distance, off.m.min_key_distance);
+  EXPECT_EQ(on.m.service_backpressure_uploads, 0);
+  EXPECT_GT(on.m.service_arrived_objects, 0);
+  EXPECT_EQ(off.m.service_arrived_objects, 0);
+}
+
 // Drain-cap backpressure in the closed loop: a drain cap below the fleet
 // size must drop whole upload frames as the backpressure fate, and those
 // bytes must stay inside the offered-byte partition (the runner ENSUREs the
 // partition every frame; uplink_drop_ratio <= 1 would catch a leak too).
+// Under uplink loss the cap counts only surviving uploads: a lost frame
+// never takes a drain slot, so each frame's backpressure is exactly
+// max(0, sensing vehicles - lost uploads - cap).
 TEST(ServiceMode, DrainCapProducesBackpressureFates) {
   PoolGuard guard;
   core::set_thread_count(2);
+  constexpr std::size_t kCap = 2;  // fleet is ~6 connected vehicles
   sim::Scenario sc =
       sim::make_unprotected_left_turn(harness::default_intersection(42));
   edge::RunnerConfig rc = edge::make_runner_config(edge::Method::kOurs);
   rc.duration = 3.0;
+  rc.fault.uplink_loss = 0.3;
   rc.service.enabled = true;
-  rc.service.queue_drain_max = 2;  // fleet is ~6 connected vehicles
+  rc.service.queue_drain_max = kCap;
+  obs::MetricsRegistry reg;
+  rc.metrics = &reg;
+  std::uint64_t prev_lost = 0;
+  std::uint64_t prev_backpressure = 0;
+  std::uint64_t total_lost = 0;
+  int frames = 0;
+  int mismatches = 0;
+  rc.on_frame = [&](const edge::FrameTrace& tr) {
+    const std::uint64_t lost = reg.counter("net.uplink_lost_msgs").value();
+    const std::uint64_t backpressure =
+        reg.counter("service.backpressure_uploads").value();
+    const std::size_t lost_now = lost - prev_lost;
+    const std::size_t survivors = tr.vehicles - lost_now;
+    const std::size_t expected = survivors > kCap ? survivors - kCap : 0;
+    if (backpressure - prev_backpressure != expected) ++mismatches;
+    total_lost += lost_now;
+    prev_lost = lost;
+    prev_backpressure = backpressure;
+    ++frames;
+  };
   edge::SystemRunner runner(rc);
   const edge::MethodMetrics m = runner.run(sc);
+  EXPECT_GT(frames, 0);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(total_lost, 0u);
   EXPECT_GT(m.service_backpressure_uploads, 0);
   EXPECT_GT(m.uplink_backpressure_bytes_per_frame, 0.0);
   EXPECT_LE(m.uplink_backpressure_bytes_per_frame,
