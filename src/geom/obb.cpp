@@ -7,27 +7,35 @@
 namespace erpd::geom {
 
 Obb::Obb(Vec2 center, double heading, double length, double width)
-    : center_(center), heading_(heading), length_(length), width_(width) {}
+    : center_(center),
+      heading_(heading),
+      axis_(Vec2::from_heading(heading)),
+      length_(length),
+      width_(width) {}
 
 std::array<Vec2, 4> Obb::corners() const {
-  const Vec2 fwd = Vec2::from_heading(heading_) * (length_ * 0.5);
-  const Vec2 left = Vec2::from_heading(heading_).perp() * (width_ * 0.5);
+  const Vec2 fwd = axis_ * (length_ * 0.5);
+  const Vec2 left = axis_.perp() * (width_ * 0.5);
   return {center_ + fwd + left, center_ - fwd + left, center_ - fwd - left,
           center_ + fwd - left};
 }
 
-std::array<Segment, 4> Obb::edges() const {
-  const auto c = corners();
+namespace {
+
+std::array<Segment, 4> edges_of(const std::array<Vec2, 4>& c) {
   return {Segment{c[0], c[1]}, Segment{c[1], c[2]}, Segment{c[2], c[3]},
           Segment{c[3], c[0]}};
 }
 
+}  // namespace
+
+std::array<Segment, 4> Obb::edges() const { return edges_of(corners()); }
+
 bool Obb::contains(Vec2 p) const {
   constexpr double kEps = 1e-9;  // boundary points count as inside
   const Vec2 d = p - center_;
-  const Vec2 fwd = Vec2::from_heading(heading_);
-  const double lx = d.dot(fwd);
-  const double ly = d.dot(fwd.perp());
+  const double lx = d.dot(axis_);
+  const double ly = d.dot(axis_.perp());
   return std::abs(lx) <= length_ * 0.5 + kEps &&
          std::abs(ly) <= width_ * 0.5 + kEps;
 }
@@ -51,10 +59,7 @@ std::pair<double, double> project(const std::array<Vec2, 4>& pts, Vec2 axis) {
 bool Obb::overlaps(const Obb& o) const {
   const auto ca = corners();
   const auto cb = o.corners();
-  const Vec2 axes[4] = {Vec2::from_heading(heading_),
-                        Vec2::from_heading(heading_).perp(),
-                        Vec2::from_heading(o.heading_),
-                        Vec2::from_heading(o.heading_).perp()};
+  const Vec2 axes[4] = {axis_, axis_.perp(), o.axis_, o.axis_.perp()};
   for (const Vec2& axis : axes) {
     const auto [alo, ahi] = project(ca, axis);
     const auto [blo, bhi] = project(cb, axis);
@@ -65,18 +70,25 @@ bool Obb::overlaps(const Obb& o) const {
 
 double Obb::distance_to(const Obb& o) const {
   if (overlaps(o)) return 0.0;
-  double best = std::numeric_limits<double>::infinity();
-  for (const Segment& ea : edges()) {
-    for (const Segment& eb : o.edges()) {
-      // Segments of non-overlapping boxes cannot cross, so the minimum is
-      // attained at an endpoint against the other segment.
-      best = std::min(best, point_segment_distance(ea.a, eb));
-      best = std::min(best, point_segment_distance(ea.b, eb));
-      best = std::min(best, point_segment_distance(eb.a, ea));
-      best = std::min(best, point_segment_distance(eb.b, ea));
+  // Segments of non-overlapping boxes cannot cross, so the minimum is
+  // attained at a corner of one box against an edge of the other. Every
+  // corner starts one edge and ends another, so the 32 (corner, edge) pairs
+  // below are exactly the set an edge-by-edge endpoint walk visits twice;
+  // std::min over the same values gives the same minimum. The walk runs on
+  // squared distances: sqrt is correctly rounded, hence monotone, so the
+  // sqrt of the smallest square is the smallest point_segment_distance.
+  const auto ca = corners();
+  const auto cb = o.corners();
+  const auto ea = edges_of(ca);
+  const auto eb = edges_of(cb);
+  double best_sq = std::numeric_limits<double>::infinity();
+  for (int k = 0; k < 4; ++k) {
+    for (int e = 0; e < 4; ++e) {
+      best_sq = std::min(best_sq, point_segment_distance_sq(ca[k], eb[e]));
+      best_sq = std::min(best_sq, point_segment_distance_sq(cb[k], ea[e]));
     }
   }
-  return best;
+  return std::sqrt(best_sq);
 }
 
 double Obb::distance_to(Vec2 p) const {

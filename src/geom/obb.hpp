@@ -2,6 +2,13 @@
 // Oriented bounding box (footprint of a vehicle/pedestrian on the ground
 // plane). The simulator uses OBBs for occlusion ray casting and for exact
 // collision detection between agents.
+//
+// Exactness contract: the box stores its unit axis Vec2::from_heading(heading)
+// once, at construction. corners(), edges(), contains(), overlaps() and
+// distance_to() read that cached axis and call no cos/sin, so every value
+// they return is bit-identical to recomputing the axis from the heading on
+// each call (the same function of the same double). A default-constructed
+// box has heading 0 and axis (1, 0).
 
 #include <array>
 #include <cstddef>
@@ -22,6 +29,8 @@ class Obb {
 
   Vec2 center() const { return center_; }
   double heading() const { return heading_; }
+  /// Unit vector along the heading, Vec2::from_heading(heading()).
+  Vec2 axis() const { return axis_; }
   double length() const { return length_; }
   double width() const { return width_; }
 
@@ -36,7 +45,9 @@ class Obb {
   /// Separating-axis overlap test.
   bool overlaps(const Obb& o) const;
 
-  /// Minimum distance between the two boxes (0 if overlapping).
+  /// Minimum distance between the two boxes (0 if overlapping): the minimum
+  /// over every (corner of one box, edge of the other) pair, each pair
+  /// evaluated once.
   double distance_to(const Obb& o) const;
 
   /// Distance from a point to the box boundary (0 if inside).
@@ -55,6 +66,7 @@ class Obb {
  private:
   Vec2 center_{};
   double heading_{0.0};
+  Vec2 axis_{1.0, 0.0};
   double length_{0.0};
   double width_{0.0};
 };

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/check.hpp"
+#include "geom/aabb.hpp"
 
 namespace erpd::geom {
 
@@ -128,15 +130,86 @@ std::vector<IntervalD> Polyline::circle_intervals(Vec2 center,
   return out;
 }
 
+namespace {
+
+/// What the first_crossing rejects need to know about a run of points.
+struct Extent {
+  Aabb box;
+  /// Longest segment, as |dx| + |dy| (>= its Euclidean length).
+  double max_segment{0.0};
+  /// Largest |coordinate|.
+  double coord{0.0};
+  bool finite{true};
+};
+
+Extent extent_of(const std::vector<Vec2>& pts) {
+  Extent e;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Vec2 p = pts[i];
+    e.finite = e.finite && std::isfinite(p.x) && std::isfinite(p.y);
+    e.box.expand(p);
+    e.coord = std::max({e.coord, std::abs(p.x), std::abs(p.y)});
+    if (i > 0) {
+      const Vec2 d = p - pts[i - 1];
+      e.max_segment = std::max(e.max_segment, std::abs(d.x) + std::abs(d.y));
+    }
+  }
+  return e;
+}
+
+/// Lower bound on the distance between any point of `a` and any of `b`
+/// (<= 0 when the boxes touch).
+double box_gap(const Aabb& a, const Aabb& b) {
+  return std::max({b.min.x - a.max.x, a.min.x - b.max.x, b.min.y - a.max.y,
+                   a.min.y - b.max.y});
+}
+
+/// Upper bound on the distance between any point of `a` and any of `b`.
+double box_span(const Aabb& a, const Aabb& b) {
+  return (std::max(a.max.x, b.max.x) - std::min(a.min.x, b.min.x)) +
+         (std::max(a.max.y, b.max.y) - std::min(a.min.y, b.min.y));
+}
+
+Aabb segment_box(Vec2 a, Vec2 b) {
+  return {{std::min(a.x, b.x), std::min(a.y, b.y)},
+          {std::max(a.x, b.x), std::max(a.y, b.y)}};
+}
+
+}  // namespace
+
 std::optional<Polyline::Crossing> Polyline::first_crossing(
     const Polyline& other) const {
   if (empty() || other.empty()) return std::nullopt;
+  // Rejects (DESIGN.md §19): a segment pair whose boxes are farther apart
+  // than intersect_reach cannot report a hit, so skipping it leaves every
+  // hit - and so the first one - unchanged. Non-finite input disables them.
+  const Extent ea = extent_of(points_);
+  const Extent eb = extent_of(other.points_);
+  const bool rejects = ea.finite && eb.finite;
+  const double coord = std::max(ea.coord, eb.coord);
+  if (rejects &&
+      box_gap(ea.box, eb.box) > intersect_reach(ea.max_segment, eb.max_segment,
+                                                box_span(ea.box, eb.box),
+                                                coord)) {
+    return std::nullopt;
+  }
   for (std::size_t i = 0; i + 1 < points_.size(); ++i) {
     const Segment sa{points_[i], points_[i + 1]};
+    // One reach serves the whole row: it bounds every segment of `other`.
+    double reach = std::numeric_limits<double>::infinity();
+    Aabb box_a;
+    if (rejects) {
+      box_a = segment_box(sa.a, sa.b);
+      const Vec2 d = sa.b - sa.a;
+      reach = intersect_reach(std::abs(d.x) + std::abs(d.y), eb.max_segment,
+                              box_span(box_a, eb.box), coord);
+      if (box_gap(box_a, eb.box) > reach) continue;
+    }
     const double la = cum_[i + 1] - cum_[i];
     std::optional<Crossing> best;
     for (std::size_t j = 0; j + 1 < other.points_.size(); ++j) {
       const Segment sb{other.points_[j], other.points_[j + 1]};
+      if (rejects && box_gap(box_a, segment_box(sb.a, sb.b)) > reach) continue;
       if (const auto hit = intersect(sa, sb)) {
         Crossing c;
         c.s_this = cum_[i] + hit->t_first * la;

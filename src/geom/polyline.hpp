@@ -49,6 +49,13 @@ class Polyline {
 
   /// First crossing between two polylines, as (arc length on this, arc length
   /// on other, point).
+  ///
+  /// Exactness contract: the result is bit-identical to walking every
+  /// (segment of this, segment of other) pair in order through intersect()
+  /// and keeping, for the first segment of this with any hit, the hit with
+  /// the smallest s_this. Padded-AABB rejects - on the whole polylines, per
+  /// segment of this, then per pair - skip only pairs that
+  /// geom::intersect_reach proves cannot hit (DESIGN.md §19).
   struct Crossing {
     double s_this{0.0};
     double s_other{0.0};

@@ -32,6 +32,9 @@ struct SegmentIntersection {
 
 /// Distance from point `p` to the segment, and the closest point parameter.
 double point_segment_distance(Vec2 p, const Segment& s, double* t_out = nullptr);
+/// Its square: point_segment_distance is exactly the sqrt of this value.
+double point_segment_distance_sq(Vec2 p, const Segment& s,
+                                 double* t_out = nullptr);
 
 /// Proper/touching intersection of two segments. Collinear overlapping
 /// segments report the first overlapping point of `first`.
@@ -82,6 +85,22 @@ inline std::optional<SegmentIntersection> intersect(const Segment& first,
   const double uc = std::clamp(u, 0.0, 1.0);
   return SegmentIntersection{first.point_at(tc), tc, uc};
 }
+
+/// Conservative reach of intersect() (DESIGN.md §19): if intersect(first,
+/// second) reports a hit, the two segments, taken as exact point sets, lie
+/// closer than the returned distance. So a caller that finds the segments
+/// farther apart than this may skip the call: it could not have been a hit.
+///
+/// Arguments are upper bounds on |first.b - first.a| (`len_first`),
+/// |second.b - second.a| (`len_second`), |second.a - first.a| (`span`) and
+/// every |coordinate| of the four endpoints (`coord`); `sin_lo` is a lower
+/// bound on the sine of the angle between the two direction vectors as
+/// intersect() computes them (0 when unknown). Returns +inf when no finite
+/// bound holds (nearly parallel segments whose rounding can fake a crossing
+/// at any distance, or non-finite input), so a "gap > reach" test is then
+/// never taken.
+double intersect_reach(double len_first, double len_second, double span,
+                       double coord, double sin_lo = 0.0);
 
 /// Parameters t (ascending, each in [0,1]) where the segment crosses the
 /// circle boundary. 0, 1 or 2 entries.

@@ -83,6 +83,8 @@ class Vehicle {
   /// fixed stop target until the hazard clears, instead of re-deciding from
   /// instantaneous TTC every tick (which would creep into the conflict).
   bool yielding_to(AgentId hazard) const { return yields_.contains(hazard); }
+  /// Every latched yield: hazard id -> stop target (arc length).
+  const std::map<AgentId, double>& yields() const { return yields_; }
   double yield_stop_s(AgentId hazard) const { return yields_.at(hazard); }
   void start_yield(AgentId hazard, double stop_s);
   void end_yield(AgentId hazard) { yields_.erase(hazard); }

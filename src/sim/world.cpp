@@ -156,9 +156,9 @@ std::optional<std::size_t> World::find_leader(std::size_t vi) const {
   for (std::size_t j = 0; j < vehicles_.size(); ++j) {
     if (j == vi) continue;
     const Vehicle& other = vehicles_[j];
-    if (other.finished(net_)) continue;
+    if (vehicle_finished(j)) continue;
     double lateral = 0.0;
-    const double s_other = path.project(other.position(net_), &lateral);
+    const double s_other = path.project(vehicle_position(j), &lateral);
     if (lateral > net_.config().lane_width * 0.5) continue;
     const double center_gap = s_other - my_s;
     if (center_gap <= 0.0) continue;
@@ -172,32 +172,60 @@ std::optional<std::size_t> World::find_leader(std::size_t vi) const {
   return best;
 }
 
-std::optional<World::ConflictInfo> World::hazard_conflict(
-    const Vehicle& me, AgentId hazard_id) const {
+std::optional<World::HazardState> World::hazard_state(
+    AgentId hazard_id) const {
   // Current hazard kinematics (ground truth of the agent, as a driver who is
   // aware of it would estimate).
-  Vec2 hpos;
-  Vec2 hvel;
-  double hlen = 1.0;
-  if (const Vehicle* hv = find_vehicle(hazard_id)) {
-    if (hv->finished(net_) || hv->params().parked) return std::nullopt;
-    hpos = hv->position(net_);
-    hvel = hv->velocity(net_);
-    hlen = hv->params().dims.length;
-  } else if (const Pedestrian* hp = find_pedestrian(hazard_id)) {
-    if (hp->finished()) return std::nullopt;
-    hpos = hp->position();
-    hvel = hp->velocity();
-    hlen = hp->params().dims.length;
-  } else {
+  if (reference_geometry_) {
+    if (const Vehicle* hv = find_vehicle(hazard_id)) {
+      if (hv->finished(net_) || hv->params().parked) return std::nullopt;
+      return HazardState{hv->position(net_), hv->velocity(net_),
+                         hv->params().dims.length};
+    }
+    if (const Pedestrian* hp = find_pedestrian(hazard_id)) {
+      if (hp->finished()) return std::nullopt;
+      return HazardState{hp->position(), hp->velocity(),
+                         hp->params().dims.length};
+    }
     return std::nullopt;
   }
+  if (hazard_id < 0 || static_cast<std::size_t>(hazard_id) >= slot_of_.size()) {
+    return std::nullopt;
+  }
+  const std::int32_t slot = slot_of_[static_cast<std::size_t>(hazard_id)];
+  if (slot < 0) return std::nullopt;
+  const AgentGeom& g = geom_[static_cast<std::size_t>(slot)];
+  if (g.finished) return std::nullopt;
+  // velocity() is from_heading(heading) * speed, and the box cached exactly
+  // that unit vector as its axis.
+  if (static_cast<std::size_t>(slot) < vehicles_.size()) {
+    const Vehicle& hv = vehicles_[static_cast<std::size_t>(slot)];
+    if (hv.params().parked) return std::nullopt;
+    return HazardState{g.box.center(), g.box.axis() * hv.speed(),
+                       hv.params().dims.length};
+  }
+  const Pedestrian& hp =
+      pedestrians_[static_cast<std::size_t>(slot) - vehicles_.size()];
+  return HazardState{g.box.center(), g.box.axis() * hp.speed(),
+                     hp.params().dims.length};
+}
 
-  const geom::Polyline& path = net_.route(me.route_id()).path;
-  const double lookahead =
-      std::max(25.0, me.speed() * cfg_.hazard_horizon + 15.0);
-  const geom::Polyline ahead = path.slice(me.s(), me.s() + lookahead);
-  if (ahead.empty()) return std::nullopt;
+std::optional<World::ConflictInfo> World::hazard_conflict(
+    const Vehicle& me, AgentId hazard_id,
+    std::optional<geom::Polyline>& ahead) const {
+  const auto hazard = hazard_state(hazard_id);
+  if (!hazard) return std::nullopt;
+  const Vec2 hpos = hazard->position;
+  const Vec2 hvel = hazard->velocity;
+  const double hlen = hazard->length;
+
+  if (!ahead || reference_geometry_) {
+    const geom::Polyline& path = net_.route(me.route_id()).path;
+    const double lookahead =
+        std::max(25.0, me.speed() * cfg_.hazard_horizon + 15.0);
+    ahead = path.slice(me.s(), me.s() + lookahead);
+  }
+  if (ahead->empty()) return std::nullopt;
 
   const double hspeed = hvel.norm();
   const double my_speed = std::max(me.speed(), 0.5);
@@ -205,7 +233,7 @@ std::optional<World::ConflictInfo> World::hazard_conflict(
     // (Nearly) stationary hazard sitting on my path: conflict at its
     // location; it is "at" the conflict point now (t_hazard = 0).
     double lateral = 0.0;
-    const double s_on = ahead.project(hpos, &lateral);
+    const double s_on = ahead->project(hpos, &lateral);
     if (lateral > 0.5 * (me.params().dims.width + hlen)) return std::nullopt;
     return ConflictInfo{me.s() + s_on, s_on / my_speed, 0.0};
   }
@@ -216,29 +244,23 @@ std::optional<World::ConflictInfo> World::hazard_conflict(
   const geom::Polyline hpath{
       {hpos,
        hpos + hvel.normalized() * (hspeed * (cfg_.hazard_horizon + 3.0) + hlen)}};
-  const auto crossing = ahead.first_crossing(hpath);
+  const auto crossing = ahead->first_crossing(hpath);
   if (!crossing) return std::nullopt;
   return ConflictInfo{me.s() + crossing->s_this, crossing->s_this / my_speed,
                       crossing->s_other / hspeed};
 }
 
-double World::control_vehicle(Vehicle& me) {
+double World::control_vehicle(std::size_t my_index) {
+  Vehicle& me = vehicles_[my_index];
   const Route& route = net_.route(me.route_id());
   const IdmModel& idm = me.params().idm;
 
   // 1) Car following with reaction-delayed leader speed.
   double accel = idm.acceleration(me.speed(), 0.0, IdmModel::free_road());
-  std::size_t my_index = 0;
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    if (vehicles_[i].id() == me.id()) {
-      my_index = i;
-      break;
-    }
-  }
   if (const auto leader = find_leader(my_index)) {
     const Vehicle& lead = vehicles_[*leader];
     const geom::Polyline& path = route.path;
-    const double s_lead = path.project(lead.position(net_));
+    const double s_lead = path.project(vehicle_position(*leader));
     const double gap = s_lead - me.s() - 0.5 * me.params().dims.length -
                        0.5 * lead.params().dims.length;
     const double v_lead_seen =
@@ -290,11 +312,12 @@ double World::control_vehicle(Vehicle& me) {
   //    when react_to_visible_hazards is enabled.
   const bool reacts_to_visible =
       me.params().attentive || cfg_.react_to_visible_hazards;
+  std::optional<geom::Polyline> ahead;  // sliced at the first hazard needing it
   for (const auto& [hazard_id, knowledge] : me.known_hazards()) {
     if (!knowledge.from_dissemination && !reacts_to_visible) continue;
     if (time_ - knowledge.aware_since < me.params().reaction_time) continue;
 
-    const auto conflict = hazard_conflict(me, hazard_id);
+    const auto conflict = hazard_conflict(me, hazard_id, ahead);
 
     // Yield-latch policy: start yielding when the conflict is imminent;
     // hold a fixed stop target until the hazard clears the crossing (the
@@ -330,7 +353,48 @@ double World::control_vehicle(Vehicle& me) {
   return accel;
 }
 
-void World::sense_hazards() {
+void World::build_geometry() {
+  if (reference_geometry_) return;
+  const std::size_t nv = vehicles_.size();
+  geom_.resize(nv + pedestrians_.size());
+  slot_of_.assign(static_cast<std::size_t>(next_id_), -1);
+  for (std::size_t i = 0; i < nv; ++i) {
+    const Vehicle& v = vehicles_[i];
+    geom_[i] = {v.obb(net_), v.finished(net_)};
+    slot_of_[static_cast<std::size_t>(v.id())] = static_cast<std::int32_t>(i);
+  }
+  for (std::size_t i = 0; i < pedestrians_.size(); ++i) {
+    const Pedestrian& p = pedestrians_[i];
+    geom_[nv + i] = {p.obb(), p.finished()};
+    slot_of_[static_cast<std::size_t>(p.id())] =
+        static_cast<std::int32_t>(nv + i);
+  }
+}
+
+Vec2 World::vehicle_position(std::size_t i) const {
+  return reference_geometry_ ? vehicles_[i].position(net_)
+                             : geom_[i].box.center();
+}
+
+Obb World::vehicle_box(std::size_t i) const {
+  return reference_geometry_ ? vehicles_[i].obb(net_) : geom_[i].box;
+}
+
+bool World::vehicle_finished(std::size_t i) const {
+  return reference_geometry_ ? vehicles_[i].finished(net_) : geom_[i].finished;
+}
+
+Obb World::pedestrian_box(std::size_t i) const {
+  return reference_geometry_ ? pedestrians_[i].obb()
+                             : geom_[vehicles_.size() + i].box;
+}
+
+bool World::pedestrian_finished(std::size_t i) const {
+  return reference_geometry_ ? pedestrians_[i].finished()
+                             : geom_[vehicles_.size() + i].finished;
+}
+
+void World::sense_hazards_reference() {
   for (Vehicle& v : vehicles_) {
     if (v.params().parked || v.crashed() || v.finished(net_)) continue;
     for (const Vehicle& other : vehicles_) {
@@ -344,6 +408,156 @@ void World::sense_hazards() {
       if (p.finished()) continue;
       if (agent_visible_from(v.id(), p.id())) {
         v.learn_hazard(p.id(), time_, false);
+      }
+    }
+  }
+}
+
+namespace {
+
+/// One occluder footprint prepared once per step for the sight-line tests.
+struct Occluder {
+  Obb box;
+  /// Circumradius, 0.5 * sqrt(length^2 + width^2).
+  double radius;
+  /// Smallest sine between a sight line and the box axes at which the
+  /// circumradius reject is taken (see sight_misses).
+  double sin_guard;
+  /// Vehicle slot of this occluder, or kStaticSlot for static scenery.
+  std::size_t slot;
+};
+
+constexpr std::size_t kStaticSlot = std::numeric_limits<std::size_t>::max();
+
+Occluder make_occluder(const Obb& box, std::size_t slot, double coord) {
+  constexpr double kU = 0x1p-53;
+  const double short_side = std::min(box.length(), box.width());
+  // Allowance for the computed edges' direction against the exact axes:
+  // each corner carries at most ~3u*coord of rounding.
+  const double guard = short_side > 0.0
+                           ? 1e-6 + 8.0 * kU * coord / short_side + 8.0 * kU
+                           : std::numeric_limits<double>::infinity();
+  return {box,
+          0.5 * std::sqrt(box.length() * box.length() +
+                          box.width() * box.width()),
+          guard, slot};
+}
+
+/// True only if no edge of `o` can report an intersect() hit with `ray`, so
+/// Obb::ray_hit would return a miss (the eye-inside case is tested by the
+/// caller first). The box lies inside its circumcircle; if the ray passes farther
+/// from the centre than radius + margin and its direction is at least
+/// sin_guard away from both box axes, geom::intersect_reach bounds every
+/// edge hit to within `margin` of the ray (DESIGN.md §19). `dir` is the
+/// ray's direction vector and `len` its length.
+bool sight_misses(const Occluder& o, const geom::Segment& ray, Vec2 dir,
+                  double len, double margin) {
+  // The gap between the ray's bounding box and the circle's is a lower
+  // bound on their distance; the exact distance is taken only when it is
+  // not enough.
+  const Vec2 c = o.box.center();
+  const double reach = o.radius + margin;
+  const bool apart =
+      std::max({c.x - reach - std::max(ray.a.x, ray.b.x),
+                std::min(ray.a.x, ray.b.x) - (c.x + reach),
+                c.y - reach - std::max(ray.a.y, ray.b.y),
+                std::min(ray.a.y, ray.b.y) - (c.y + reach)}) > 0.0;
+  if (!apart && !(geom::point_segment_distance(c, ray) > reach)) return false;
+  // A zero-length ray passes this guard (0 >= 0): it takes intersect()'s
+  // point branch, whose reach is 1e-9 whatever the angle.
+  const Vec2 axis = o.box.axis();
+  return std::min(std::abs(dir.cross(axis)), std::abs(dir.dot(axis))) >=
+         o.sin_guard * len;
+}
+
+}  // namespace
+
+void World::sense_hazards() {
+  if (reference_geometry_) {
+    sense_hazards_reference();
+    return;
+  }
+  const std::size_t nv = vehicles_.size();
+
+  // Bound every coordinate a sight test touches, for the reject margin.
+  double coord = 0.0;
+  bool finite = true;
+  const auto bound = [&](double c) {
+    finite = finite && std::isfinite(c);
+    coord = std::max(coord, std::abs(c));
+  };
+  for (const AgentGeom& g : geom_) {
+    bound(g.box.center().x);
+    bound(g.box.center().y);
+  }
+  const auto bound_box = [&](const Obb& b) {
+    bound(std::abs(b.center().x) + b.length() + b.width());
+    bound(std::abs(b.center().y) + b.length() + b.width());
+  };
+
+  // The reference occluder list for a (viewer, target) pair is every
+  // unfinished vehicle but those two, then the static scenery. Visibility is
+  // an AND over that list, so one list per step with both skipped by slot
+  // gives the same answer.
+  std::vector<Occluder> occluders;
+  occluders.reserve(nv + statics_.size());
+  for (std::size_t i = 0; i < nv; ++i) {
+    if (!geom_[i].finished) bound_box(geom_[i].box);
+  }
+  for (const StaticObstacle& st : statics_) bound_box(st.footprint);
+  if (!finite) coord = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < nv; ++i) {
+    if (geom_[i].finished) continue;
+    occluders.push_back(make_occluder(geom_[i].box, i, coord));
+  }
+  for (const StaticObstacle& st : statics_) {
+    occluders.push_back(make_occluder(st.footprint, kStaticSlot, coord));
+  }
+  // Every sight line is at most 3 * coord long, every edge at most coord,
+  // and the guard in sight_misses keeps the sine to each edge >= 1e-6. The
+  // factor 2 covers the rounding of the centre distance and of the corners
+  // (a few u * coord, far below the reach's 4e-6 floor).
+  const double margin =
+      2.0 * geom::intersect_reach(3.0 * coord, coord, 3.0 * coord, coord, 1e-6);
+
+  // Per viewer: the occluders' edges and eye-inside flags, whose ray_hit
+  // equals Obb::ray_hit for every ray from that eye.
+  geom::ObbRaySoa from_eye;
+  for (std::size_t vi = 0; vi < nv; ++vi) {
+    Vehicle& v = vehicles_[vi];
+    if (v.params().parked || v.crashed() || geom_[vi].finished) continue;
+    const Vec2 eye = geom_[vi].box.center();
+    from_eye.clear();
+    for (const Occluder& o : occluders) from_eye.add(o.box, eye);
+    const auto visible = [&](std::size_t target_slot, Vec2 tpos) {
+      if (distance(eye, tpos) > cfg_.sensor_range) return false;
+      const geom::Segment ray{eye, tpos};
+      const Vec2 dir = tpos - eye;
+      const double len = dir.norm();
+      for (std::size_t k = 0; k < occluders.size(); ++k) {
+        const Occluder& o = occluders[k];
+        if (o.slot == vi || o.slot == target_slot) continue;
+        if (!from_eye.eye_inside(k) && sight_misses(o, ray, dir, len, margin)) {
+          continue;
+        }
+        const double t = from_eye.ray_hit(k, ray);
+        if (t >= 0.0 && t < 1.0) return false;
+      }
+      return true;
+    };
+    for (std::size_t oi = 0; oi < nv; ++oi) {
+      const Vehicle& other = vehicles_[oi];
+      if (oi == vi || other.params().parked) continue;
+      if (geom_[oi].finished || other.crashed()) continue;
+      if (visible(oi, geom_[oi].box.center())) {
+        v.learn_hazard(other.id(), time_, false);
+      }
+    }
+    for (std::size_t pi = 0; pi < pedestrians_.size(); ++pi) {
+      const AgentGeom& g = geom_[nv + pi];
+      if (g.finished) continue;
+      if (visible(nv + pi, g.box.center())) {
+        v.learn_hazard(pedestrians_[pi].id(), time_, false);
       }
     }
   }
@@ -363,19 +577,20 @@ void World::step() {
     }
   }
 
+  // Poses are fixed from here until integration.
+  build_geometry();
   sense_hazards();
 
   // Compute controls against the pre-step state, then integrate.
   std::vector<double> accels(vehicles_.size(), 0.0);
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    Vehicle& v = vehicles_[i];
-    if (v.params().parked || v.crashed() || v.finished(net_)) continue;
-    accels[i] = control_vehicle(v);
+    const Vehicle& v = vehicles_[i];
+    if (v.params().parked || v.crashed() || vehicle_finished(i)) continue;
+    accels[i] = control_vehicle(i);
   }
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    Vehicle& v = vehicles_[i];
-    if (v.finished(net_)) continue;
-    v.advance(accels[i], cfg_.dt);
+    if (vehicle_finished(i)) continue;
+    vehicles_[i].advance(accels[i], cfg_.dt);
   }
   for (Pedestrian& p : pedestrians_) {
     if (!p.finished()) p.advance(cfg_.dt);
@@ -392,6 +607,7 @@ void World::step() {
     }
   }
 
+  build_geometry();
   detect_collisions();
   update_pair_distances();
 }
@@ -399,25 +615,27 @@ void World::step() {
 void World::detect_collisions() {
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     Vehicle& a = vehicles_[i];
-    if (a.finished(net_)) continue;
-    const Obb box_a = a.obb(net_);
+    if (vehicle_finished(i)) continue;
+    const Obb box_a = vehicle_box(i);
     for (std::size_t j = i + 1; j < vehicles_.size(); ++j) {
       Vehicle& b = vehicles_[j];
-      if (b.finished(net_)) continue;
+      if (vehicle_finished(j)) continue;
       if (a.crashed() && b.crashed()) continue;
-      if (box_a.overlaps(b.obb(net_))) {
+      if (box_a.overlaps(vehicle_box(j))) {
         collisions_.push_back(
-            {a.id(), b.id(), time_, (a.position(net_) + b.position(net_)) * 0.5});
+            {a.id(), b.id(), time_,
+             (vehicle_position(i) + vehicle_position(j)) * 0.5});
         a.mark_crashed();
         b.mark_crashed();
       }
     }
-    for (Pedestrian& p : pedestrians_) {
-      if (p.finished()) continue;
+    for (std::size_t pi = 0; pi < pedestrians_.size(); ++pi) {
+      if (pedestrian_finished(pi)) continue;
       if (a.crashed()) continue;
-      if (box_a.overlaps(p.obb())) {
-        collisions_.push_back(
-            {a.id(), p.id(), time_, (a.position(net_) + p.position()) * 0.5});
+      const Obb box_p = pedestrian_box(pi);
+      if (box_a.overlaps(box_p)) {
+        collisions_.push_back({a.id(), pedestrians_[pi].id(), time_,
+                               (vehicle_position(i) + box_p.center()) * 0.5});
         a.mark_crashed();
       }
     }
@@ -427,12 +645,12 @@ void World::detect_collisions() {
 void World::update_pair_distances() {
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     const Vehicle& a = vehicles_[i];
-    if (a.finished(net_) || a.params().parked) continue;
-    const Obb box_a = a.obb(net_);
+    if (vehicle_finished(i) || a.params().parked) continue;
+    const Obb box_a = vehicle_box(i);
     for (std::size_t j = i + 1; j < vehicles_.size(); ++j) {
       const Vehicle& b = vehicles_[j];
-      if (b.finished(net_) || b.params().parked) continue;
-      const double d = box_a.distance_to(b.obb(net_));
+      if (vehicle_finished(j) || b.params().parked) continue;
+      const double d = box_a.distance_to(vehicle_box(j));
       auto& slot = pair_min_dist_
                        .try_emplace(pair_key(a.id(), b.id()),
                                     std::numeric_limits<double>::infinity())
@@ -440,11 +658,11 @@ void World::update_pair_distances() {
       slot = std::min(slot, d);
       global_min_distance_ = std::min(global_min_distance_, d);
     }
-    for (const Pedestrian& p : pedestrians_) {
-      if (p.finished()) continue;
-      const double d = box_a.distance_to(p.obb());
+    for (std::size_t pi = 0; pi < pedestrians_.size(); ++pi) {
+      if (pedestrian_finished(pi)) continue;
+      const double d = box_a.distance_to(pedestrian_box(pi));
       auto& slot = pair_min_dist_
-                       .try_emplace(pair_key(a.id(), p.id()),
+                       .try_emplace(pair_key(a.id(), pedestrians_[pi].id()),
                                     std::numeric_limits<double>::infinity())
                        .first->second;
       slot = std::min(slot, d);

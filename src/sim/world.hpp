@@ -112,6 +112,13 @@ class World {
   /// Advance the world by one tick (cfg.dt).
   void step();
 
+  /// Reference path for the per-step geometry fast paths (DESIGN.md §19):
+  /// when set, step() recomputes every pose per query, tests line of sight
+  /// through agent_visible_from per (viewer, target) and slices the route
+  /// once per known hazard. Both paths produce bit-identical worlds; only
+  /// tests select the reference, per instance.
+  void set_reference_geometry(bool reference) { reference_geometry_ = reference; }
+
   // --- Perception support -------------------------------------------------
 
   /// All LiDAR-visible prisms except the viewer itself.
@@ -217,16 +224,52 @@ class World {
 
   double global_min_ped_distance_{std::numeric_limits<double>::infinity()};
 
-  double control_vehicle(Vehicle& v);
+  /// Per-step geometry of one agent (DESIGN.md §19). Slots [0, vehicles_)
+  /// hold the vehicles in storage order, pedestrians follow. Rebuilt by
+  /// build_geometry() after the maneuver pass (sensing and control read it)
+  /// and again after integration (collision and distance passes read it);
+  /// positions never change between a build and its readers.
+  struct AgentGeom {
+    geom::Obb box{};  ///< centred on the agent's position
+    bool finished{false};
+  };
+  std::vector<AgentGeom> geom_;
+  /// AgentId -> slot in geom_, or -1 for an id with no materialized agent.
+  std::vector<std::int32_t> slot_of_;
+  bool reference_geometry_{false};
+
+  /// Kinematics a driver uses to project a hazard's path.
+  struct HazardState {
+    geom::Vec2 position{};
+    geom::Vec2 velocity{};
+    double length{1.0};
+  };
+
+  void build_geometry();
+  /// Box and finished flag of vehicle / pedestrian i: from the per-step
+  /// table, or recomputed per call on the reference path.
+  geom::Vec2 vehicle_position(std::size_t i) const;
+  geom::Obb vehicle_box(std::size_t i) const;
+  bool vehicle_finished(std::size_t i) const;
+  geom::Obb pedestrian_box(std::size_t i) const;
+  bool pedestrian_finished(std::size_t i) const;
+
+  double control_vehicle(std::size_t index);
   void materialize_pending_spawns();
   std::optional<std::size_t> find_leader(std::size_t vi) const;
   double delayed_speed(AgentId id, double delay) const;
+  /// A moving or stationary hazard a driver can react to, or nullopt for a
+  /// finished, parked or unknown agent.
+  std::optional<HazardState> hazard_state(AgentId hazard_id) const;
   /// Crossing between the vehicle's path ahead and the hazard's projected
   /// path, if any. Purely geometric; activation/latching policy lives in
-  /// control_vehicle.
-  std::optional<ConflictInfo> hazard_conflict(const Vehicle& me,
-                                              AgentId hazard_id) const;
+  /// control_vehicle. `ahead` caches the vehicle's sliced route across its
+  /// hazards (the reference path slices it again for every hazard).
+  std::optional<ConflictInfo> hazard_conflict(
+      const Vehicle& me, AgentId hazard_id,
+      std::optional<geom::Polyline>& ahead) const;
   void sense_hazards();
+  void sense_hazards_reference();
   void detect_collisions();
   void update_pair_distances();
   static std::uint64_t pair_key(AgentId a, AgentId b);
