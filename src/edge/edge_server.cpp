@@ -387,6 +387,32 @@ FrameOutput EdgeServer::process_frame(
       cfg_.strategy == DisseminationStrategy::kRelevanceOptimal;
 
   if (need_relevance) {
+    // The predicted tracks, in traj order, each looked up once.
+    struct PredictedTrack {
+      const track::Track* tr;
+      const std::vector<track::PredictedTrajectory>* hypotheses;
+    };
+    std::vector<PredictedTrack> predicted;
+    predicted.reserve(traj.size());
+    for (const auto& [tid, trj] : traj) {
+      if (const track::Track* tr = tracker_.find(tid)) {
+        predicted.push_back({tr, &trj});
+      }
+    }
+    // One row per fleet vehicle, in fleet_ order, each filled on the pool
+    // into its own slot (four rows, tens of microseconds, per chunk); the
+    // fold below appends the rows in that order, so candidates, relevance_of
+    // and the stale count match a serial walk.
+    struct Row {
+      sim::AgentId vid;
+      const VehicleInfo* info;
+      const std::vector<track::PredictedTrajectory>* hypotheses;
+      const net::UploadFrame* own{nullptr};
+      std::vector<core::Candidate> candidates;
+      std::size_t stale{0};
+    };
+    std::vector<Row> rows;
+    rows.reserve(fleet_.size());
     for (const auto& [vid, info] : fleet_) {
       const auto vt = vehicle_traj.find(vid);
       if (vt == vehicle_traj.end()) continue;
@@ -395,18 +421,24 @@ FrameOutput EdgeServer::process_frame(
       for (const net::UploadFrame& f : uploads) {
         if (f.vehicle == vid) own = &f;
       }
-      for (const auto& [tid, trj] : traj) {
-        const track::Track* tr = tracker_.find(tid);
-        if (tr == nullptr) continue;
+      rows.push_back({vid, &info, &vt->second, own, {}, 0});
+    }
+    core::parallel_for(rows.size(), 4, [&](std::size_t r) {
+      Row& row = rows[r];
+      for (const PredictedTrack& p : predicted) {
+        const track::Track* tr = p.tr;
         // Skip the vehicle's own track.
-        if (distance(tr->position(), info.position) < cfg_.self_radius) {
+        if (distance(tr->position(), row.info->position) < cfg_.self_radius) {
           continue;
         }
         // Directly observable objects need no dissemination (relevance 0).
-        if (own != nullptr && visible_to(*own, tr->position())) continue;
+        if (row.own != nullptr && visible_to(*row.own, tr->position())) {
+          continue;
+        }
 
         const auto est =
-            best_estimate(trj, vt->second, object_kind_length(tr->kind),
+            best_estimate(*p.hypotheses, *row.hypotheses,
+                          object_kind_length(tr->kind),
                           object_kind_length(sim::AgentKind::kCar));
         if (!est) continue;
         // A coasting track's position is a prediction, not a measurement;
@@ -417,11 +449,17 @@ FrameOutput EdgeServer::process_frame(
           rel *= std::pow(1.0 - cfg_.staleness_decay, tr->misses);
         }
         if (rel < cfg_.min_relevance) continue;
-        if (tr->misses > 0) ++out.stale_candidates;
-        relevance_of[tid][vid] = rel;
-        candidates.push_back({tid, vid, rel, tr->payload_bytes,
-                              tr->truth_id});
+        if (tr->misses > 0) ++row.stale;
+        row.candidates.push_back(
+            {tr->id, row.vid, rel, tr->payload_bytes, tr->truth_id});
       }
+    });
+    for (const Row& row : rows) {
+      for (const core::Candidate& c : row.candidates) {
+        relevance_of[c.track_id][c.to] = c.relevance;
+        candidates.push_back(c);
+      }
+      out.stale_candidates += row.stale;
     }
 
     // Pedestrian cluster members inherit their representative's relevance.

@@ -13,13 +13,6 @@ std::size_t ExtractionResult::total_points() const {
   return n;
 }
 
-PointCloud ExtractionResult::merged_world() const {
-  PointCloud out;
-  out.reserve(total_points());
-  for (const ExtractedObject& o : objects) out.append(o.points_world);
-  return out;
-}
-
 MovingObjectExtractor::MovingObjectExtractor(MovingExtractorConfig cfg)
     : cfg_(cfg) {}
 

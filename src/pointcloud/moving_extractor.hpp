@@ -67,8 +67,6 @@ struct ExtractionResult {
 
   /// Total moving points across objects.
   std::size_t total_points() const;
-  /// All moving points merged into one world-frame cloud.
-  PointCloud merged_world() const;
 };
 
 /// Stateful per-vehicle extractor; feed frames in timestamp order.

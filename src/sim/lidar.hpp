@@ -41,11 +41,6 @@ struct LidarConfig {
   int azimuth_count() const {
     return static_cast<int>(360.0 / azimuth_step_deg);
   }
-  /// Upper bound on returns per frame.
-  std::size_t max_points() const {
-    return static_cast<std::size_t>(channels) *
-           static_cast<std::size_t>(azimuth_count());
-  }
 };
 
 /// Something a LiDAR beam can hit: a vertical prism over a planar footprint.

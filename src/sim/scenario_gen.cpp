@@ -134,6 +134,16 @@ void ScenarioSpec::validate(const RoadNetwork& net) const {
                "ScenarioSpec: bad signal timing g=", signal.green,
                " y=", signal.yellow, " r=", signal.all_red);
   maneuver.validate();
+  // The generator's caps. World keeps a pair table over every id it hands
+  // out, O(ids^2) in memory, so a spec's agent count must stay bounded even
+  // when few of its agents are present at once.
+  ERPD_REQUIRE(spawns.size() <= 500, "ScenarioSpec: at most 500 spawns, got ",
+               spawns.size());
+  ERPD_REQUIRE(pedestrians.size() <= 200,
+               "ScenarioSpec: at most 200 pedestrians, got ",
+               pedestrians.size());
+  ERPD_REQUIRE(occluders.size() <= 50,
+               "ScenarioSpec: at most 50 occluders, got ", occluders.size());
   const int lanes = net.config().lanes_per_direction;
   for (const SpawnSpec& sp : spawns) {
     ERPD_REQUIRE(std::isfinite(sp.time) && sp.time >= 0.0 && sp.time <= 3600.0,

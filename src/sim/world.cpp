@@ -6,6 +6,7 @@
 
 #include "core/check.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 
 namespace erpd::sim {
 
@@ -29,7 +30,7 @@ AgentId World::add_vehicle(const VehicleParams& params, int route_id,
   ERPD_REQUIRE(start_speed >= 0.0,
                "World::add_vehicle: start_speed must be >= 0, got ",
                start_speed);
-  const AgentId id = next_id_++;
+  const AgentId id = take_id();
   vehicles_.emplace_back(id, params, route_id, start_s, start_speed);
   return id;
 }
@@ -51,7 +52,7 @@ AgentId World::schedule_vehicle(double spawn_time, const VehicleParams& params,
   ERPD_REQUIRE(lane_change_direction >= -1 && lane_change_direction <= 1,
                "World::schedule_vehicle: lane_change_direction must be in "
                "{-1, 0, 1}, got ", lane_change_direction);
-  const AgentId id = next_id_++;
+  const AgentId id = take_id();
   pending_.push_back({spawn_time, params, route_id, start_s, start_speed, id,
                       lane_change_direction, lane_change_trigger_s});
   return id;
@@ -92,7 +93,7 @@ void World::materialize_pending_spawns() {
 
 AgentId World::add_pedestrian(const PedestrianParams& params,
                               geom::Polyline path, double start_s) {
-  const AgentId id = next_id_++;
+  const AgentId id = take_id();
   pedestrians_.emplace_back(id, params, std::move(path), start_s);
   return id;
 }
@@ -122,10 +123,18 @@ const Pedestrian* World::find_pedestrian(AgentId id) const {
   return nullptr;
 }
 
-std::uint64_t World::pair_key(AgentId a, AgentId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-         static_cast<std::uint32_t>(b);
+std::size_t World::pair_slot(AgentId lo, AgentId hi) {
+  const auto h = static_cast<std::size_t>(hi);
+  return h * (h - 1) / 2 + static_cast<std::size_t>(lo);
+}
+
+AgentId World::take_id() {
+  const AgentId id = next_id_++;
+  // The table's rows are ids, each holding the pairs with every lower id,
+  // so a new id appends its row and no existing slot moves.
+  pair_min_dist_.resize(pair_slot(0, next_id_),
+                        std::numeric_limits<double>::infinity());
+  return id;
 }
 
 double World::delayed_speed(AgentId id, double delay) const {
@@ -520,47 +529,60 @@ void World::sense_hazards() {
   const double margin =
       2.0 * geom::intersect_reach(3.0 * coord, coord, 3.0 * coord, coord, 1e-6);
 
-  // Per viewer: the occluders' edges and eye-inside flags, whose ray_hit
-  // equals Obb::ray_hit for every ray from that eye.
-  geom::ObbRaySoa from_eye;
-  for (std::size_t vi = 0; vi < nv; ++vi) {
-    Vehicle& v = vehicles_[vi];
-    if (v.params().parked || v.crashed() || geom_[vi].finished) continue;
-    const Vec2 eye = geom_[vi].box.center();
-    from_eye.clear();
-    for (const Occluder& o : occluders) from_eye.add(o.box, eye);
-    const auto visible = [&](std::size_t target_slot, Vec2 tpos) {
-      if (distance(eye, tpos) > cfg_.sensor_range) return false;
-      const geom::Segment ray{eye, tpos};
-      const Vec2 dir = tpos - eye;
-      const double len = dir.norm();
-      for (std::size_t k = 0; k < occluders.size(); ++k) {
-        const Occluder& o = occluders[k];
-        if (o.slot == vi || o.slot == target_slot) continue;
-        if (!from_eye.eye_inside(k) && sight_misses(o, ray, dir, len, margin)) {
-          continue;
+  // Viewers run on the pool, a chunk of them at a time. A viewer writes only
+  // its own known_hazards and reads the geometry fixed above, so the result
+  // does not depend on the chunking or the schedule. Each chunk holds its
+  // own per-viewer scratch: the occluders' edges and eye-inside flags, whose
+  // ray_hit equals Obb::ray_hit for every ray from that eye.
+  const std::size_t targets = nv + pedestrians_.size();
+  // About kOccluderTestsPerChunk (target, occluder) tests per chunk; most
+  // are circumradius rejects of a few ns.
+  constexpr std::size_t kOccluderTestsPerChunk = 16384;
+  const std::size_t grain = std::max<std::size_t>(
+      1, kOccluderTestsPerChunk / (targets * occluders.size() + 1));
+  core::parallel_chunks(nv, grain, [&](std::size_t begin, std::size_t end,
+                                       std::size_t) {
+    geom::ObbRaySoa from_eye;
+    for (std::size_t vi = begin; vi < end; ++vi) {
+      Vehicle& v = vehicles_[vi];
+      if (v.params().parked || v.crashed() || geom_[vi].finished) continue;
+      const Vec2 eye = geom_[vi].box.center();
+      from_eye.clear();
+      for (const Occluder& o : occluders) from_eye.add(o.box, eye);
+      const auto visible = [&](std::size_t target_slot, Vec2 tpos) {
+        if (distance(eye, tpos) > cfg_.sensor_range) return false;
+        const geom::Segment ray{eye, tpos};
+        const Vec2 dir = tpos - eye;
+        const double len = dir.norm();
+        for (std::size_t k = 0; k < occluders.size(); ++k) {
+          const Occluder& o = occluders[k];
+          if (o.slot == vi || o.slot == target_slot) continue;
+          if (!from_eye.eye_inside(k) &&
+              sight_misses(o, ray, dir, len, margin)) {
+            continue;
+          }
+          const double t = from_eye.ray_hit(k, ray);
+          if (t >= 0.0 && t < 1.0) return false;
         }
-        const double t = from_eye.ray_hit(k, ray);
-        if (t >= 0.0 && t < 1.0) return false;
+        return true;
+      };
+      for (std::size_t oi = 0; oi < nv; ++oi) {
+        const Vehicle& other = vehicles_[oi];
+        if (oi == vi || other.params().parked) continue;
+        if (geom_[oi].finished || other.crashed()) continue;
+        if (visible(oi, geom_[oi].box.center())) {
+          v.learn_hazard(other.id(), time_, false);
+        }
       }
-      return true;
-    };
-    for (std::size_t oi = 0; oi < nv; ++oi) {
-      const Vehicle& other = vehicles_[oi];
-      if (oi == vi || other.params().parked) continue;
-      if (geom_[oi].finished || other.crashed()) continue;
-      if (visible(oi, geom_[oi].box.center())) {
-        v.learn_hazard(other.id(), time_, false);
-      }
-    }
-    for (std::size_t pi = 0; pi < pedestrians_.size(); ++pi) {
-      const AgentGeom& g = geom_[nv + pi];
-      if (g.finished) continue;
-      if (visible(nv + pi, g.box.center())) {
-        v.learn_hazard(pedestrians_[pi].id(), time_, false);
+      for (std::size_t pi = 0; pi < pedestrians_.size(); ++pi) {
+        const AgentGeom& g = geom_[nv + pi];
+        if (g.finished) continue;
+        if (visible(nv + pi, g.box.center())) {
+          v.learn_hazard(pedestrians_[pi].id(), time_, false);
+        }
       }
     }
-  }
+  });
 }
 
 void World::step() {
@@ -643,31 +665,50 @@ void World::detect_collisions() {
 }
 
 void World::update_pair_distances() {
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
+  const std::size_t nv = vehicles_.size();
+  const std::size_t np = pedestrians_.size();
+  // Row i measures vehicle i against every later vehicle, then every
+  // pedestrian, so each unordered pair, and with it each table slot, is
+  // written by exactly one row; the rows run on the pool. Each row keeps its
+  // own two minima, folded below. min is exact and order-free, so the table
+  // and both global minima equal those of the pair-by-pair walk.
+  struct RowMin {
+    double vehicle{std::numeric_limits<double>::infinity()};
+    double pedestrian{std::numeric_limits<double>::infinity()};
+  };
+  std::vector<RowMin> row_min(nv);
+  const auto row = [&](std::size_t i) {
     const Vehicle& a = vehicles_[i];
-    if (vehicle_finished(i) || a.params().parked) continue;
+    if (vehicle_finished(i) || a.params().parked) return;
     const Obb box_a = vehicle_box(i);
-    for (std::size_t j = i + 1; j < vehicles_.size(); ++j) {
+    RowMin& m = row_min[i];
+    const auto put = [&](AgentId other, double d) {
+      double& slot =
+          pair_min_dist_[pair_slot(std::min(a.id(), other),
+                                   std::max(a.id(), other))];
+      slot = std::min(slot, d);
+    };
+    for (std::size_t j = i + 1; j < nv; ++j) {
       const Vehicle& b = vehicles_[j];
       if (vehicle_finished(j) || b.params().parked) continue;
       const double d = box_a.distance_to(vehicle_box(j));
-      auto& slot = pair_min_dist_
-                       .try_emplace(pair_key(a.id(), b.id()),
-                                    std::numeric_limits<double>::infinity())
-                       .first->second;
-      slot = std::min(slot, d);
-      global_min_distance_ = std::min(global_min_distance_, d);
+      put(b.id(), d);
+      m.vehicle = std::min(m.vehicle, d);
     }
-    for (std::size_t pi = 0; pi < pedestrians_.size(); ++pi) {
+    for (std::size_t pi = 0; pi < np; ++pi) {
       if (pedestrian_finished(pi)) continue;
       const double d = box_a.distance_to(pedestrian_box(pi));
-      auto& slot = pair_min_dist_
-                       .try_emplace(pair_key(a.id(), pedestrians_[pi].id()),
-                                    std::numeric_limits<double>::infinity())
-                       .first->second;
-      slot = std::min(slot, d);
-      global_min_ped_distance_ = std::min(global_min_ped_distance_, d);
+      put(pedestrians_[pi].id(), d);
+      m.pedestrian = std::min(m.pedestrian, d);
     }
+  };
+  // About kPairsPerChunk distances (~90 ns each) per chunk.
+  constexpr std::size_t kPairsPerChunk = 1024;
+  core::parallel_for(
+      nv, std::max<std::size_t>(1, kPairsPerChunk / (nv / 2 + np + 1)), row);
+  for (const RowMin& m : row_min) {
+    global_min_distance_ = std::min(global_min_distance_, m.vehicle);
+    global_min_ped_distance_ = std::min(global_min_ped_distance_, m.pedestrian);
   }
 }
 
@@ -746,9 +787,10 @@ bool World::agent_crashed(AgentId id) const {
 }
 
 double World::min_pair_distance(AgentId a, AgentId b) const {
-  const auto it = pair_min_dist_.find(pair_key(a, b));
-  return it == pair_min_dist_.end() ? std::numeric_limits<double>::infinity()
-                                    : it->second;
+  if (a == b || a < 0 || b < 0 || a >= next_id_ || b >= next_id_) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return pair_min_dist_[pair_slot(std::min(a, b), std::max(a, b))];
 }
 
 std::vector<AgentSnapshot> World::snapshot() const {

@@ -142,7 +142,8 @@ class World {
   bool agent_crashed(AgentId id) const;
 
   /// Minimum distance ever observed between the two agents (inf if never
-  /// both present). Tracks vehicle-vehicle and vehicle-pedestrian pairs.
+  /// both present, if a == b, or for an id this world never handed out).
+  /// Tracks vehicle-vehicle and vehicle-pedestrian pairs.
   double min_pair_distance(AgentId a, AgentId b) const;
   /// Minimum over all vehicle pairs ever observed.
   double min_vehicle_distance() const { return global_min_distance_; }
@@ -194,16 +195,17 @@ class World {
   ManeuverPlanner maneuver_planner_;
 
   std::vector<CollisionEvent> collisions_;
-  /// Ordered by pair key (detlint D1): metrics consumers may enumerate the
-  /// observed pairs, and an ordered container keeps any such walk — and the
-  /// safety numbers derived from it — independent of hash-bucket layout.
-  /// The per-tick O(pairs) keyed lookups are cheap at fleet sizes where the
-  /// O(n^2) pair update is itself affordable.
-  std::map<std::uint64_t, double> pair_min_dist_;
+  /// Minimum distance per unordered pair of ids, lower-triangular and
+  /// indexed by pair_slot; +inf for a pair never measured. take_id() grows
+  /// it with every id handed out, scheduled vehicles included, so it holds
+  /// ids*(ids-1)/2 doubles however few agents are present at once (760 ids,
+  /// ScenarioSpec's cap, take 2.3 MB).
+  std::vector<double> pair_min_dist_;
   double global_min_distance_{std::numeric_limits<double>::infinity()};
 
   /// Recent speed history per vehicle for delayed-perception following.
-  /// Ordered by AgentId (detlint D1), as above.
+  /// Ordered by AgentId (detlint D1), so any walk over it is independent of
+  /// hash-bucket layout.
   std::map<AgentId, std::deque<std::pair<double, double>>> speed_hist_;
   /// Recent car-following acceleration commands per vehicle. Inattentive
   /// drivers apply the command computed one reaction time ago (classical
@@ -272,7 +274,10 @@ class World {
   void sense_hazards_reference();
   void detect_collisions();
   void update_pair_distances();
-  static std::uint64_t pair_key(AgentId a, AgentId b);
+  /// Next agent id; grows the pair table to cover it.
+  AgentId take_id();
+  /// Slot of the pair (lo, hi), lo < hi, in pair_min_dist_.
+  static std::size_t pair_slot(AgentId lo, AgentId hi);
 };
 
 }  // namespace erpd::sim

@@ -8,6 +8,91 @@
 
 namespace erpd::track {
 
+namespace {
+
+/// Kind is advisory (partial views of vehicles can look small), but a
+/// confirmed pedestrian-sized track never merges with a car-sized detection
+/// and vice versa when both are unambiguous.
+bool kinds_compatible(const Track& tr, const Detection& de) {
+  const bool ped_t = tr.kind == sim::AgentKind::kPedestrian;
+  const bool ped_d = de.kind == sim::AgentKind::kPedestrian;
+  return ped_t == ped_d || !(tr.max_extent > 1.6 && de.extent > 0.0);
+}
+
+}  // namespace
+
+std::vector<Match> associate(const std::vector<Track>& tracks,
+                             const std::vector<Detection>& detections,
+                             double gate) {
+  struct Pair {
+    double d;
+    std::size_t track;
+    std::size_t detection;
+  };
+  std::vector<Pair> pairs;
+  for (std::size_t i = 0; i < tracks.size(); ++i) {
+    const geom::Vec2 p = tracks[i].position();
+    for (std::size_t j = 0; j < detections.size(); ++j) {
+      if (!kinds_compatible(tracks[i], detections[j])) continue;
+      const double d = distance(p, detections[j].position);
+      if (d < gate) pairs.push_back({d, i, j});
+    }
+  }
+  // The reference takes the smallest distance among free pairs, the lowest
+  // (track, detection) on a tie. Pairs of free tracks never change, and a
+  // taken endpoint never frees again, so the first free pair in this order
+  // is always the one the reference takes next (DESIGN.md §20).
+  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
+    if (a.d != b.d) return a.d < b.d;
+    if (a.track != b.track) return a.track < b.track;
+    return a.detection < b.detection;
+  });
+  std::vector<bool> det_used(detections.size(), false);
+  std::vector<bool> trk_used(tracks.size(), false);
+  std::vector<Match> out;
+  for (const Pair& pr : pairs) {
+    if (trk_used[pr.track] || det_used[pr.detection]) continue;
+    trk_used[pr.track] = true;
+    det_used[pr.detection] = true;
+    out.push_back({pr.track, pr.detection});
+  }
+  return out;
+}
+
+std::vector<Match> associate_reference(const std::vector<Track>& tracks,
+                                       const std::vector<Detection>& detections,
+                                       double gate) {
+  std::vector<bool> det_used(detections.size(), false);
+  std::vector<bool> trk_used(tracks.size(), false);
+  std::vector<Match> out;
+  while (true) {
+    double best_d = gate;
+    std::size_t best_tr = tracks.size();
+    std::size_t best_de = detections.size();
+    for (std::size_t i = 0; i < tracks.size(); ++i) {
+      if (trk_used[i]) continue;
+      for (std::size_t j = 0; j < detections.size(); ++j) {
+        if (det_used[j]) continue;
+        if (!kinds_compatible(tracks[i], detections[j])) continue;
+        const double d = distance(tracks[i].position(), detections[j].position);
+        if (d < best_d) {
+          best_d = d;
+          best_tr = i;
+          best_de = j;
+        }
+      }
+    }
+    if (best_tr == tracks.size()) break;
+    ERPD_DCHECK(best_de < detections.size(),
+                "tracker: association produced detection index ", best_de,
+                " out of range ", detections.size());
+    trk_used[best_tr] = true;
+    det_used[best_de] = true;
+    out.push_back({best_tr, best_de});
+  }
+  return out;
+}
+
 MultiObjectTracker::MultiObjectTracker(TrackerConfig cfg) : cfg_(cfg) {}
 
 void MultiObjectTracker::step(const std::vector<Detection>& detections,
@@ -18,45 +103,21 @@ void MultiObjectTracker::step(const std::vector<Detection>& detections,
     for (Track& tr : tracks_) tr.filter.predict(dt);
   }
 
-  // Greedy nearest-neighbour association within the gate: repeatedly match
-  // the globally closest (track, detection) pair.
+  // Greedy nearest-neighbour association within the gate. A match changes
+  // only its own track, which is then taken, so matching in this order
+  // equals fusing each pair as soon as it is chosen.
+  const std::vector<Match> matches =
+      reference_association_
+          ? associate_reference(tracks_, detections, cfg_.gate)
+          : associate(tracks_, detections, cfg_.gate);
   std::vector<bool> det_used(detections.size(), false);
   std::vector<bool> trk_used(tracks_.size(), false);
-  while (true) {
-    double best_d = cfg_.gate;
-    std::size_t best_tr = tracks_.size();
-    std::size_t best_de = detections.size();
-    for (std::size_t i = 0; i < tracks_.size(); ++i) {
-      if (trk_used[i]) continue;
-      for (std::size_t j = 0; j < detections.size(); ++j) {
-        if (det_used[j]) continue;
-        // Kind is advisory (partial views of vehicles can look small), but a
-        // confirmed pedestrian-sized track never merges with a car-sized
-        // detection and vice versa when both are unambiguous.
-        const bool ped_t = tracks_[i].kind == sim::AgentKind::kPedestrian;
-        const bool ped_d = detections[j].kind == sim::AgentKind::kPedestrian;
-        if (ped_t != ped_d && tracks_[i].max_extent > 1.6 &&
-            detections[j].extent > 0.0) {
-          continue;
-        }
-        const double d =
-            distance(tracks_[i].position(), detections[j].position);
-        if (d < best_d) {
-          best_d = d;
-          best_tr = i;
-          best_de = j;
-        }
-      }
-    }
-    if (best_tr == tracks_.size()) break;
-    ERPD_DCHECK(best_de < detections.size(),
-                "tracker: association produced detection index ", best_de,
-                " out of range ", detections.size());
-    trk_used[best_tr] = true;
-    det_used[best_de] = true;
+  for (const Match& m : matches) {
+    trk_used[m.track] = true;
+    det_used[m.detection] = true;
 
-    Track& tr = tracks_[best_tr];
-    const Detection& de = detections[best_de];
+    Track& tr = tracks_[m.track];
+    const Detection& de = detections[m.detection];
     if (de.velocity) {
       tr.filter.update(de.position, *de.velocity, cfg_.vel_meas_sigma);
     } else {

@@ -85,6 +85,31 @@ struct Track {
   geom::Vec2 velocity() const { return filter.velocity(); }
 };
 
+/// One (track, detection) association, as indices into the inputs.
+struct Match {
+  std::size_t track{0};
+  std::size_t detection{0};
+  bool operator==(const Match&) const = default;
+};
+
+/// Gated greedy nearest-neighbour association (DESIGN.md §20): repeatedly
+/// match the globally closest free (track, detection) pair whose distance is
+/// below `gate`, ties going to the lowest (track, detection) indices.
+/// Matches come back in the order they are taken. A pair whose track is
+/// pedestrian-sized and detection car-sized (or the reverse) is skipped when
+/// the track's largest extent exceeds 1.6 m and the detection has an extent.
+/// Gates all pairs once and walks them sorted by (distance, track,
+/// detection).
+std::vector<Match> associate(const std::vector<Track>& tracks,
+                             const std::vector<Detection>& detections,
+                             double gate);
+
+/// The same association by rescanning every free pair for each match:
+/// O(matches x tracks x detections). Reference for the equivalence tests.
+std::vector<Match> associate_reference(const std::vector<Track>& tracks,
+                                       const std::vector<Detection>& detections,
+                                       double gate);
+
 class MultiObjectTracker {
  public:
   explicit MultiObjectTracker(TrackerConfig cfg = {});
@@ -101,11 +126,18 @@ class MultiObjectTracker {
 
   const Track* find(int track_id) const;
 
+  /// Associate through associate_reference instead of associate. Both give
+  /// the same matches; only tests select the reference, per instance.
+  void set_reference_association(bool reference) {
+    reference_association_ = reference;
+  }
+
  private:
   TrackerConfig cfg_;
   std::vector<Track> tracks_;
   int next_id_{0};
   std::optional<double> last_t_;
+  bool reference_association_{false};
 };
 
 }  // namespace erpd::track

@@ -282,6 +282,66 @@ TEST(Determinism, ServiceModeFingerprintImmuneToHashSeedShuffle) {
 }
 
 // ---------------------------------------------------------------------------
+// Crowd closed loop (DESIGN.md §20): the crowd-service shape — occluded
+// pedestrian crowd, every vehicle connected, redundancy-aware uplink,
+// service edge, 10% loss each way — runs World::step's sight tests and pair
+// distances, the edge's relevance rows and the sorted association with many
+// agents per frame. Short horizon and a trimmed crowd keep the 3-worker
+// sweep affordable under TSan.
+// ---------------------------------------------------------------------------
+
+edge::MethodMetrics run_crowd(std::size_t threads) {
+  core::set_thread_count(threads);
+  sim::ScenarioConfig cfg;
+  cfg.seed = 3;
+  cfg.speed_kmh = 30.0;
+  cfg.total_vehicles = 40;
+  cfg.pedestrians = 60;
+  cfg.connected_fraction = 1.0;
+  cfg.world.lidar.channels = 8;
+  cfg.world.lidar.azimuth_step_deg = 2.0;
+  sim::Scenario sc = sim::make_occluded_pedestrian(cfg);
+
+  edge::RunnerConfig rc = edge::make_runner_config(edge::Method::kOurs);
+  rc.duration = 1.5;
+  rc.redundancy.enabled = true;
+  rc.service.enabled = true;
+  rc.service.decode_merge_budget_us = 250;
+  rc.fault.seed = 3;
+  rc.fault.uplink_loss = 0.10;
+  rc.fault.downlink_loss = 0.10;
+  edge::SystemRunner runner(rc);
+  return runner.run(sc);
+}
+
+TEST(Determinism, CrowdServiceIdenticalAcrossThreadCounts) {
+  PoolGuard guard;
+  const edge::MethodMetrics ref = run_crowd(1);
+  ASSERT_GT(ref.disseminations, 0);  // relevance rows produced candidates
+  ASSERT_GT(ref.service_arrived_objects, 0);
+  const std::uint64_t ref_fp = harness::metrics_fingerprint(ref);
+  for (const std::size_t t : kThreadCounts) {
+    const edge::MethodMetrics got = run_crowd(t);
+    expect_identical(got, ref, t);
+    EXPECT_EQ(harness::metrics_fingerprint(got), ref_fp) << t << " threads";
+  }
+}
+
+TEST(Determinism, CrowdServiceImmuneToHashSeedShuffle) {
+  PoolGuard pool_guard;
+  HashSeedGuard hash_guard;
+  core::set_det_hash_seed(0);
+  const std::uint64_t ref = harness::metrics_fingerprint(run_crowd(2));
+  for (const std::uint64_t shuffle :
+       {std::uint64_t{0x9e3779b97f4a7c15}, std::uint64_t{1}}) {
+    core::set_det_hash_seed(core::mix64(shuffle));
+    EXPECT_EQ(harness::metrics_fingerprint(run_crowd(2)), ref)
+        << "crowd-service replay drifted under hash shuffle (seed " << shuffle
+        << ")";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Generated scenarios (DESIGN.md §15): both stages of the generator pipeline
 // must be deterministic — generate_scenario's serialized output is a pure
 // function of the seed (no thread-count dependence), and the full closed

@@ -176,7 +176,9 @@ TEST(MovingExtractor, TotalPointsAndMerge) {
     res = ex.process(synth_frame({5.0 + 3.0 * t, 0.0}, false, rng), pose, t);
   }
   ASSERT_FALSE(res.objects.empty());
-  EXPECT_EQ(res.total_points(), res.merged_world().size());
+  std::size_t world_points = 0;
+  for (const ExtractedObject& o : res.objects) world_points += o.points_world.size();
+  EXPECT_EQ(res.total_points(), world_points);
 }
 
 }  // namespace

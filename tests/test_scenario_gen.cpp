@@ -158,6 +158,39 @@ TEST(ScenarioGen, SpecValidateRejectsBrokenSpawns) {
   });
 }
 
+TEST(ScenarioGen, SpecValidateCapsAgentCounts) {
+  // World's pair table holds every id a spec hands out, so the spec caps
+  // its agent counts at the generator's: 500 spawns, 200 pedestrians, 50
+  // occluders. The parser is total and accepts more; building rejects them.
+  const RoadNetwork net{RoadConfig{}};
+  ScenarioSpec spec = generate_scenario(GenConfig{}, 1);
+  SpawnSpec late = spec.spawns.front();
+  late.time = 3000.0;
+  spec.spawns.resize(500, late);
+  spec.pedestrians.resize(200, PedSpec{});
+  OccluderSpec parked;
+  parked.s = 10.0;
+  spec.occluders.resize(50, parked);
+  EXPECT_NO_THROW(spec.validate(net));
+
+  const auto rejected = [&net](ScenarioSpec s) {
+    EXPECT_THROW(s.validate(net), erpd::ContractViolation);
+    const SpecParseResult parsed = try_parse_spec(emit_spec(s));
+    ASSERT_EQ(parsed.status, SpecParseStatus::kOk);
+    EXPECT_THROW((void)build_scenario(parsed.spec, search_world_config()),
+                 erpd::ContractViolation);
+  };
+  ScenarioSpec more = spec;
+  more.spawns.push_back(late);
+  rejected(more);
+  more = spec;
+  more.pedestrians.push_back(PedSpec{});
+  rejected(more);
+  more = spec;
+  more.occluders.push_back(parked);
+  rejected(more);
+}
+
 TEST(ScenarioGen, ScenarioConfigInvariantsStillHold) {
   // The scripted-scenario config shares the fail-loudly convention the
   // generator follows; pin that its contract also rejects garbage.

@@ -6,6 +6,8 @@
 // (set_reference_geometry) are stepped side by side on identical inputs, and
 // on every tick everything step() decides is compared bit for bit: vehicle
 // state, driver memory, latched yields, collisions and every pair distance.
+// The crowd scenes step fast worlds at 1, 2 and 8 pool workers, since the
+// sight tests and pair distances run on the pool.
 
 #include <gtest/gtest.h>
 
@@ -14,15 +16,24 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scenario_gen.hpp"
 
 namespace erpd::sim {
 namespace {
+
+const std::size_t kThreadCounts[] = {1, 2, 8};
+
+/// Restores the auto pool size when a test exits.
+struct PoolGuard {
+  ~PoolGuard() { core::set_thread_count(0); }
+};
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -112,17 +123,26 @@ struct Totals {
   std::size_t yields_seen{0};
 };
 
-/// Step both worlds `ticks` times, comparing after every step. Every few
-/// ticks both receive the same edge notifications (some naming pedestrians,
+/// A fast-path world and the pool size it steps at (0: leave the pool as
+/// it is).
+struct FastWorld {
+  World* world;
+  std::size_t workers{0};
+};
+
+/// Step the fast worlds and the reference `ticks` times, comparing each
+/// fast world with the reference after every step. Every few ticks all
+/// receive the same edge notifications (some naming pedestrians,
 /// unmaterialized or unknown ids), so dissemination-driven reactions of
 /// inattentive drivers run too.
-Totals step_side_by_side(World& fast, World& ref, int ticks) {
-  fast.set_reference_geometry(false);
+Totals step_side_by_side(const std::vector<FastWorld>& fast, World& ref,
+                         int ticks) {
+  for (const FastWorld& f : fast) f.world->set_reference_geometry(false);
   ref.set_reference_geometry(true);
   Totals t;
   {
     const int tick = -1;
-    expect_same_world(fast, ref, tick);
+    for (const FastWorld& f : fast) expect_same_world(*f.world, ref, tick);
   }
   for (int tick = 0; tick < ticks; ++tick) {
     if (tick % 5 == 0) {
@@ -132,14 +152,20 @@ Totals step_side_by_side(World& fast, World& ref, int ticks) {
         const AgentId hazard =
             static_cast<AgentId>((static_cast<std::int64_t>(i) * 37 + tick) %
                                  (hi + 1));
-        fast.notify_vehicle(vid, hazard);
+        for (const FastWorld& f : fast) f.world->notify_vehicle(vid, hazard);
         ref.notify_vehicle(vid, hazard);
       }
     }
-    fast.step();
+    for (const FastWorld& f : fast) {
+      if (f.workers != 0) core::set_thread_count(f.workers);
+      f.world->step();
+    }
     ref.step();
-    expect_same_world(fast, ref, tick);
-    if (::testing::Test::HasFatalFailure()) return t;
+    for (const FastWorld& f : fast) {
+      SCOPED_TRACE(f.workers);
+      expect_same_world(*f.world, ref, tick);
+      if (::testing::Test::HasFatalFailure()) return t;
+    }
     for (const Vehicle& v : ref.vehicles()) {
       t.max_hazards = std::max(t.max_hazards, v.known_hazards().size());
       t.yields_seen += v.yields().size();
@@ -149,6 +175,26 @@ Totals step_side_by_side(World& fast, World& ref, int ticks) {
   }
   t.collisions = ref.collisions().size();
   return t;
+}
+
+Totals step_side_by_side(World& fast, World& ref, int ticks) {
+  return step_side_by_side({{&fast, 0}}, ref, ticks);
+}
+
+/// Step one fast world per pool size in kThreadCounts against one
+/// reference built by `make`.
+template <typename Make>
+Totals step_at_worker_counts(const Make& make, int ticks) {
+  const PoolGuard guard;
+  std::vector<Scenario> fast;
+  fast.reserve(std::size(kThreadCounts));  // keeps the world pointers valid
+  std::vector<FastWorld> worlds;
+  for (const std::size_t n : kThreadCounts) {
+    fast.push_back(make());
+    worlds.push_back({&fast.back().world, n});
+  }
+  Scenario ref = make();
+  return step_side_by_side(worlds, ref.world, ticks);
 }
 
 ScenarioConfig crowd_config(std::uint64_t seed) {
@@ -162,10 +208,11 @@ ScenarioConfig crowd_config(std::uint64_t seed) {
 TEST(WorldEquivalence, OccludedPedestrianCrowds) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(seed);
-    Scenario fast = make_occluded_pedestrian(crowd_config(seed));
-    Scenario ref = make_occluded_pedestrian(crowd_config(seed));
-    ASSERT_GE(ref.world.pedestrians().size(), 60u);
-    const Totals t = step_side_by_side(fast.world, ref.world, 90);
+    const auto make = [seed] {
+      return make_occluded_pedestrian(crowd_config(seed));
+    };
+    ASSERT_GE(make().world.pedestrians().size(), 60u);
+    const Totals t = step_at_worker_counts(make, 90);
     ASSERT_EQ(t.ticks, 90);
     EXPECT_GT(t.max_hazards, 10u) << "sight tests never fired";
   }
@@ -176,9 +223,8 @@ TEST(WorldEquivalence, DenseLeftTurns) {
     SCOPED_TRACE(seed);
     ScenarioConfig cfg = crowd_config(seed);
     cfg.pedestrians = 30;
-    Scenario fast = make_unprotected_left_turn(cfg);
-    Scenario ref = make_unprotected_left_turn(cfg);
-    const Totals t = step_side_by_side(fast.world, ref.world, 120);
+    const Totals t = step_at_worker_counts(
+        [&cfg] { return make_unprotected_left_turn(cfg); }, 120);
     ASSERT_EQ(t.ticks, 120);
     EXPECT_GT(t.yields_seen, 0u) << "no driver ever yielded";
   }
@@ -281,6 +327,66 @@ TEST(WorldEquivalence, SightLineClippingAnOccluderCorner) {
         << "only a corner crossing the sight line blocks it";
    }
   }
+}
+
+/// The id-indexed pair table: ids that schedule_vehicle hands out before
+/// the vehicle exists stay +inf until it materializes, then fill like any
+/// other; a == b, unknown and negative ids read +inf.
+TEST(WorldEquivalence, PairTableCoversScheduledIds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto make = [] {
+    World w{RoadNetwork{RoadConfig{}}, WorldConfig{}};
+    const RoadNetwork& net = w.network();
+    VehicleParams params;
+    params.idm.desired_speed = 6.0;
+    w.add_vehicle(params, *net.find_route(Arm::kSouth, 1, Maneuver::kStraight),
+                  20.0, 5.0);
+    w.schedule_vehicle(0.45, params,
+                       *net.find_route(Arm::kWest, 1, Maneuver::kStraight),
+                       15.0, 5.0);
+    const geom::Vec2 kerb = net.route(0).path.point_at(30.0);
+    w.add_pedestrian(PedestrianParams{},
+                     geom::Polyline{{kerb, kerb + geom::Vec2{0.0, 8.0}}});
+    w.add_vehicle(params, *net.find_route(Arm::kNorth, 1, Maneuver::kStraight),
+                  25.0, 5.0);
+    return w;
+  };
+  // Ids: 0 vehicle, 1 scheduled, 2 pedestrian, 3 vehicle.
+  World fast = make();
+  World ref = make();
+  const World& w = fast;
+  ASSERT_EQ(w.pending_vehicles(), 1u);
+  for (AgentId a = -1; a <= 4; ++a) {
+    for (AgentId b = -1; b <= 4; ++b) {
+      EXPECT_EQ(w.min_pair_distance(a, b), kInf) << a << ", " << b;
+    }
+  }
+  ASSERT_EQ(step_side_by_side(fast, ref, 1).ticks, 1);
+  EXPECT_EQ(w.pending_vehicles(), 1u);
+  EXPECT_LT(w.min_pair_distance(0, 3), kInf);
+  EXPECT_LT(w.min_pair_distance(2, 0), kInf);
+  EXPECT_LT(w.min_pair_distance(3, 2), kInf);
+  EXPECT_EQ(w.min_pair_distance(0, 1), kInf) << "scheduled, not yet spawned";
+  EXPECT_EQ(w.min_pair_distance(1, 2), kInf);
+
+  ASSERT_EQ(step_side_by_side(fast, ref, 10).ticks, 10);
+  ASSERT_EQ(w.pending_vehicles(), 0u);
+  for (const AgentId other : {0, 2, 3}) {
+    EXPECT_LT(w.min_pair_distance(1, other), kInf) << other;
+    EXPECT_EQ(w.min_pair_distance(1, other), w.min_pair_distance(other, 1));
+  }
+  EXPECT_EQ(w.min_pair_distance(0, 0), kInf);
+  EXPECT_EQ(w.min_pair_distance(1, 1), kInf);
+  EXPECT_EQ(w.min_pair_distance(0, 999), kInf);
+  EXPECT_EQ(w.min_pair_distance(999, 0), kInf);
+  EXPECT_EQ(w.min_pair_distance(0, -1), kInf);
+  EXPECT_EQ(w.min_pair_distance(-5, 3), kInf);
+  EXPECT_EQ(w.min_vehicle_distance(),
+            std::min({w.min_pair_distance(0, 1), w.min_pair_distance(0, 3),
+                      w.min_pair_distance(1, 3)}));
+  EXPECT_EQ(w.min_vehicle_pedestrian_distance(),
+            std::min({w.min_pair_distance(0, 2), w.min_pair_distance(1, 2),
+                      w.min_pair_distance(3, 2)}));
 }
 
 }  // namespace
