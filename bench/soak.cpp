@@ -27,7 +27,6 @@
 //   --out=FILE       JSON report path (default SOAK_report.json in the CWD)
 
 #include <algorithm>
-#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -44,6 +43,7 @@
 #include "core/det_hash.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
+#include "edge/metrics_io.hpp"
 #include "edge/system_runner.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -69,53 +69,6 @@ long resident_kb() {
 #else
   return 0;
 #endif
-}
-
-std::uint64_t fold(std::uint64_t h, double v) {
-  return core::seed_mix(h, std::bit_cast<std::uint64_t>(v));
-}
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return core::seed_mix(h, v);
-}
-
-/// Behavioral fingerprint over the simulated MethodMetrics fields — the
-/// same subset the scenario harness locks goldens with (wall-clock stage
-/// timings excluded), including the service-layer fate counters. Bit-equal
-/// across worker counts and det-hash shuffles by the determinism contract.
-std::uint64_t fingerprint_of(const edge::MethodMetrics& m) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  h = fold(h, static_cast<std::uint64_t>(m.vehicles_entered));
-  h = fold(h, static_cast<std::uint64_t>(m.vehicles_safe));
-  h = fold(h, static_cast<std::uint64_t>(m.collisions));
-  h = fold(h, static_cast<std::uint64_t>(m.ego_safe ? 1 : 0));
-  h = fold(h, m.safe_passage_rate);
-  h = fold(h, m.min_key_distance);
-  h = fold(h, m.uplink_bytes_per_frame);
-  h = fold(h, m.downlink_bytes_per_frame);
-  h = fold(h, m.uplink_offered_bytes_per_frame);
-  h = fold(h, m.uplink_drop_ratio);
-  h = fold(h, m.avg_objects_detected);
-  h = fold(h, m.delivered_relevance);
-  h = fold(h, static_cast<std::uint64_t>(m.disseminations));
-  h = fold(h, m.uplink_loss_ratio);
-  h = fold(h, m.downlink_deadline_miss_ratio);
-  h = fold(h, static_cast<std::uint64_t>(m.coasted_track_frames));
-  h = fold(h, static_cast<std::uint64_t>(m.ingest_rejected_crc));
-  h = fold(h, static_cast<std::uint64_t>(m.ingest_rejected_semantic));
-  h = fold(h, static_cast<std::uint64_t>(m.ingest_quarantined_vehicles));
-  h = fold(h, static_cast<std::uint64_t>(m.ingest_shed_uploads));
-  h = fold(h, m.uplink_suppressed_bytes_per_frame);
-  h = fold(h, m.uplink_capped_bytes_per_frame);
-  h = fold(h, m.uplink_lost_bytes_per_frame);
-  h = fold(h, m.uplink_backpressure_bytes_per_frame);
-  h = fold(h, static_cast<std::uint64_t>(m.coverage_feedback_msgs));
-  h = fold(h, static_cast<std::uint64_t>(m.service_arrived_objects));
-  h = fold(h, static_cast<std::uint64_t>(m.service_admitted_objects));
-  h = fold(h, static_cast<std::uint64_t>(m.service_deferred_objects));
-  h = fold(h, static_cast<std::uint64_t>(m.service_shed_objects));
-  h = fold(h, static_cast<std::uint64_t>(m.service_parked_residual));
-  h = fold(h, static_cast<std::uint64_t>(m.service_backpressure_uploads));
-  return h;
 }
 
 /// Same intersection shape the fault matrix soaks (coarse LiDAR keeps the
@@ -192,7 +145,7 @@ EpisodeResult run_episode(std::uint64_t base_seed, std::uint64_t episode) {
   try {
     edge::SystemRunner runner(rc);
     r.metrics = runner.run(sc);
-    r.fingerprint = fingerprint_of(r.metrics);
+    r.fingerprint = edge::metrics_fingerprint(r.metrics);
   } catch (const erpd::ContractViolation& e) {
     r.violated = true;
     r.what = e.what();

@@ -18,7 +18,7 @@ EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
     : net_(net),
       cfg_(cfg),
       guard_(cfg.ingest),
-      admission_(cfg.service),
+      admission_(cfg.service.admission_policy()),
       tracker_(cfg.tracker),
       rules_(net, cfg.rules),
       predictor_(net, cfg.predictor) {
@@ -32,6 +32,7 @@ EdgeServer::EdgeServer(const sim::RoadNetwork& net, EdgeConfig cfg)
                "EdgeServer: staleness_decay must be in [0,1), got ",
                cfg_.staleness_decay);
   cfg_.redundancy.validate();
+  cfg_.service.validate();
 }
 
 sim::AgentKind EdgeServer::classify_extent(const geom::Aabb& box) {
@@ -382,11 +383,7 @@ FrameOutput EdgeServer::process_frame(
   // track id -> (vehicle -> relevance), reused for follower propagation.
   std::map<int, std::map<sim::AgentId, double>> relevance_of;
 
-  const bool need_relevance =
-      cfg_.strategy == DisseminationStrategy::kRelevanceGreedy ||
-      cfg_.strategy == DisseminationStrategy::kRelevanceOptimal;
-
-  if (need_relevance) {
+  if (cfg_.strategy == DisseminationStrategy::kRelevanceGreedy) {
     // The predicted tracks, in traj order, each looked up once.
     struct PredictedTrack {
       const track::Track* tr;
@@ -567,9 +564,6 @@ FrameOutput EdgeServer::process_frame(
   switch (cfg_.strategy) {
     case DisseminationStrategy::kRelevanceGreedy:
       sel = core::greedy_dissemination(candidates, budget);
-      break;
-    case DisseminationStrategy::kRelevanceOptimal:
-      sel = core::optimal_dissemination(candidates, budget);
       break;
     case DisseminationStrategy::kRoundRobin:
       sel = core::round_robin_dissemination(candidates, budget, rr_cursor_);

@@ -31,11 +31,12 @@
 
 namespace erpd::edge {
 
+/// Explicit values: config_fingerprint folds them, and 1 (a retired exact
+/// knapsack strategy) stays unused so recorded fingerprints keep their meaning.
 enum class DisseminationStrategy : std::uint8_t {
-  kRelevanceGreedy,   // Ours (Algorithm 1)
-  kRelevanceOptimal,  // exact DP knapsack (ablation)
-  kRoundRobin,        // EMP
-  kBroadcast,         // Unlimited
+  kRelevanceGreedy = 0,  // Ours (Algorithm 1)
+  kRoundRobin = 2,       // EMP
+  kBroadcast = 3,        // Unlimited
 };
 
 struct EdgeConfig {

@@ -36,7 +36,16 @@ void IngestConfig::validate() const {
                "IngestConfig: need 0 < quarantine_base <= quarantine_max");
 }
 
-IngestGuard::IngestGuard(IngestConfig cfg) : cfg_(cfg) { cfg_.validate(); }
+IngestGuard::IngestGuard(IngestConfig cfg)
+    : cfg_(cfg),
+      // No parking: a denied object is shed in the frame it arrived.
+      point_budget_(AdmissionPolicy{.budget = cfg.point_budget_per_frame,
+                                    .cost_per_point = 1,
+                                    .cost_per_object = 0,
+                                    .defer_capacity = 0,
+                                    .max_defer_frames = 0}) {
+  cfg_.validate();
+}
 
 void IngestGuard::attach_metrics(obs::MetricsRegistry* registry) {
   const bool on = registry != nullptr;
@@ -153,51 +162,41 @@ std::vector<net::UploadFrame> IngestGuard::admit(
         // (vehicle, object). A chunk that *claims* to be a delta (is_delta)
         // or *looks* like one (magic) takes the delta path — either way the
         // strict header checks decide, never the sender's flag alone.
-        if (o.is_delta || pc::is_delta(o.wire)) {
-          const pc::EncodedCloud* base = nullptr;
+        const bool delta = o.is_delta || pc::is_delta(o.wire);
+        const pc::EncodedCloud* base = nullptr;
+        if (delta) {
           const auto vit = bases_.find(f.vehicle);
           if (vit != bases_.end()) {
             const auto bit = vit->second.find(o.object_seq);
             if (bit != vit->second.end()) base = &bit->second;
           }
-          pc::DecodeResult r = pc::try_decode_delta(o.wire, base);
-          if (r.status != pc::DecodeStatus::kOk) {
-            ++dropped_objects;
-            // Transport-shaped damage (truncation, size, CRC) counts as
-            // corruption; protocol-shaped damage (wrong magic, missing or
-            // mismatched base, bad indices/motion) as a semantic reject.
-            const bool transport =
-                r.status == pc::DecodeStatus::kTruncatedHeader ||
-                r.status == pc::DecodeStatus::kSizeMismatch ||
-                r.status == pc::DecodeStatus::kBadChecksum;
-            if (transport) {
-              ++stats->rejected_crc;
-              if (rejected_crc_ctr_ != nullptr) rejected_crc_ctr_->add();
-            } else {
-              ++stats->rejected_semantic;
-              if (rejected_semantic_ctr_ != nullptr) {
-                rejected_semantic_ctr_->add();
-              }
-            }
-            continue;
-          }
-          net::ObjectUpload checked = o;
-          checked.cloud_world = std::move(r.cloud);
-          checked.wire = pc::EncodedCloud{};
-          checked.wire_present = false;
-          kept.objects.push_back(std::move(checked));
-          continue;
         }
-        pc::DecodeResult r = pc::try_decode(o.wire);
+        pc::DecodeResult r = delta ? pc::try_decode_delta(o.wire, base)
+                                   : pc::try_decode(o.wire);
         if (!r.ok()) {
           ++dropped_objects;
-          ++stats->rejected_crc;
-          if (rejected_crc_ctr_ != nullptr) rejected_crc_ctr_->add();
+          // A damaged keyframe counts as corruption. For a delta, only
+          // transport-shaped damage (truncation, size, CRC) does;
+          // protocol-shaped damage (wrong magic, missing or mismatched
+          // base, bad indices/motion) is a semantic reject.
+          const bool transport =
+              !delta || r.status == pc::DecodeStatus::kTruncatedHeader ||
+              r.status == pc::DecodeStatus::kSizeMismatch ||
+              r.status == pc::DecodeStatus::kBadChecksum;
+          if (transport) {
+            ++stats->rejected_crc;
+            if (rejected_crc_ctr_ != nullptr) rejected_crc_ctr_->add();
+          } else {
+            ++stats->rejected_semantic;
+            if (rejected_semantic_ctr_ != nullptr) {
+              rejected_semantic_ctr_->add();
+            }
+          }
           continue;
         }
         // A validated keyframe with an object identity becomes the delta
         // base for that identity.
-        if (o.object_seq != 0) {
+        if (!delta && o.object_seq != 0) {
           std::map<std::uint64_t, pc::EncodedCloud>& mine = bases_[f.vehicle];
           mine[o.object_seq] = o.wire;
           while (mine.size() > kMaxBasesPerVehicle) mine.erase(mine.begin());
@@ -243,56 +242,15 @@ std::vector<net::UploadFrame> IngestGuard::admit(
     admitted.push_back(std::move(kept));
   }
 
-  // ---- Overload shedding ----
+  // ---- Overload shedding: one admission pass, cost = points ----
+  // A duplicate sender was rejected above, so each vehicle has at most one
+  // admitted frame, and the controller's (points desc, vehicle, arrival)
+  // order ranks objects within a frame by their index.
   if (cfg_.enabled && cfg_.point_budget_per_frame > 0) {
-    struct Slot {
-      std::size_t frame;
-      std::size_t object;
-      std::size_t points;
-      sim::AgentId vehicle;
-    };
-    std::vector<Slot> slots;
-    std::size_t total = 0;
-    for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
-      for (std::size_t oi = 0; oi < admitted[fi].objects.size(); ++oi) {
-        const std::size_t pts = admitted[fi].objects[oi].point_count;
-        slots.push_back({fi, oi, pts, admitted[fi].vehicle});
-        total += pts;
-      }
-    }
-    if (total > cfg_.point_budget_per_frame) {
-      // Value order: biggest clouds first (most perception value per
-      // header), with a full deterministic tie-break so the shed set is
-      // identical across platforms and thread counts.
-      std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-        if (a.points != b.points) return a.points > b.points;
-        if (a.vehicle != b.vehicle) return a.vehicle < b.vehicle;
-        return a.object < b.object;
-      });
-      std::vector<std::vector<bool>> keep(admitted.size());
-      for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
-        keep[fi].assign(admitted[fi].objects.size(), false);
-      }
-      std::size_t used = 0;
-      for (const Slot& s : slots) {
-        if (used + s.points <= cfg_.point_budget_per_frame) {
-          used += s.points;
-          keep[s.frame][s.object] = true;
-        } else {
-          ++stats->shed_uploads;
-          if (shed_ctr_ != nullptr) shed_ctr_->add();
-        }
-      }
-      for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
-        net::UploadFrame& f = admitted[fi];
-        std::vector<net::ObjectUpload> remaining;
-        remaining.reserve(f.objects.size());
-        for (std::size_t oi = 0; oi < f.objects.size(); ++oi) {
-          if (keep[fi][oi]) remaining.push_back(std::move(f.objects[oi]));
-        }
-        f.objects = std::move(remaining);
-      }
-    }
+    ServiceStats shed;
+    admitted = point_budget_.run(std::move(admitted), t, &shed);
+    stats->shed_uploads += shed.shed_objects;
+    if (shed_ctr_ != nullptr) shed_ctr_->add(shed.shed_objects);
   }
   return admitted;
 }

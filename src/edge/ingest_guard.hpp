@@ -9,7 +9,8 @@
 // caps). Offending vehicles accumulate strikes into a quarantine with
 // exponential-backoff readmission, and an optional per-frame point budget
 // deterministically sheds the lowest-value uploads under overload instead
-// of blowing the frame deadline.
+// of blowing the frame deadline. The shed is an AdmissionController pass
+// (DESIGN.md §17) with cost = points and no parking.
 //
 // Determinism: the guard runs single-threaded in upload order and all state
 // transitions are pure functions of the admitted sequence and simulated
@@ -21,6 +22,7 @@
 #include <map>
 #include <vector>
 
+#include "edge/service.hpp"
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
 #include "pointcloud/encoding.hpp"
@@ -59,7 +61,8 @@ struct IngestConfig {
   double quarantine_max{16.0};
   /// Total points admitted per frame across the fleet; 0 disables shedding.
   /// Under overload the largest uploads are kept (they carry the most
-  /// perception value per header) and the rest shed deterministically.
+  /// perception value per header) and the rest shed deterministically, in
+  /// the admission controller's order.
   std::size_t point_budget_per_frame{0};
 
   void validate() const;
@@ -129,6 +132,9 @@ class IngestGuard {
   /// for deterministic eviction.
   std::map<sim::AgentId, std::map<std::uint64_t, pc::EncodedCloud>> bases_;
   static constexpr std::size_t kMaxBasesPerVehicle = 64;
+  /// The point-budget shed. Never attached to a registry: its sheds are
+  /// billed as ingest.shed_uploads, not service.*.
+  AdmissionController point_budget_;
   obs::Counter* rejected_crc_ctr_{nullptr};
   obs::Counter* rejected_semantic_ctr_{nullptr};
   obs::Counter* quarantined_ctr_{nullptr};

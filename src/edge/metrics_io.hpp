@@ -97,4 +97,9 @@ std::vector<std::string_view> frame_trace_keys();
 obs::RunManifest make_manifest(const RunnerConfig& cfg,
                                std::string_view scenario, std::uint64_t seed);
 
+/// Order-stable 64-bit fingerprint over the *simulated* metric fields
+/// (wall-clock timings excluded — they legitimately vary run to run). The
+/// golden scenarios, the determinism suite and the soak all compare it.
+std::uint64_t metrics_fingerprint(const MethodMetrics& m);
+
 }  // namespace erpd::edge

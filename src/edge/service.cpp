@@ -1,62 +1,56 @@
 #include "edge/service.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 
 #include "core/check.hpp"
 #include "net/channel.hpp"
 
 namespace erpd::edge {
 
+void AdmissionPolicy::validate() const {
+  ERPD_REQUIRE(max_defer_frames >= 0,
+               "AdmissionPolicy: max_defer_frames must be >= 0, got ",
+               max_defer_frames);
+  ERPD_REQUIRE(cost_per_object > 0 || cost_per_point > 0,
+               "AdmissionPolicy: cost model is all-zero; every upload would "
+               "be free and the budget could never shed");
+}
+
 void ServiceConfig::validate() const {
   ERPD_REQUIRE(queue_lane_depth > 0,
                "ServiceConfig: queue_lane_depth must be > 0, got ",
                queue_lane_depth);
-  ERPD_REQUIRE(max_defer_frames >= 0,
-               "ServiceConfig: max_defer_frames must be >= 0, got ",
-               max_defer_frames);
-  ERPD_REQUIRE(cost_per_object_ns > 0 || cost_per_point_ns > 0,
-               "ServiceConfig: cost model is all-zero; every upload would be "
-               "free and the deadline budget could never shed");
+  ERPD_REQUIRE(decode_merge_budget_us <=
+                   std::numeric_limits<std::uint64_t>::max() / 1000,
+               "ServiceConfig: decode_merge_budget_us overflows nanoseconds, "
+               "got ", decode_merge_budget_us);
+  admission_policy().validate();
 }
 
-AdmissionController::AdmissionController(ServiceConfig cfg)
-    : cfg_(cfg) {
-  cfg_.validate();
+AdmissionPolicy ServiceConfig::admission_policy() const {
+  return AdmissionPolicy{decode_merge_budget_us * 1000, cost_per_point_ns,
+                         cost_per_object_ns, defer_capacity,
+                         max_defer_frames};
+}
+
+AdmissionController::AdmissionController(AdmissionPolicy policy)
+    : policy_(policy) {
+  policy_.validate();
 }
 
 void AdmissionController::attach_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    arrived_ctr_ = nullptr;
-    admitted_ctr_ = nullptr;
-    deferred_ctr_ = nullptr;
-    shed_ctr_ = nullptr;
-    granted_ns_ctr_ = nullptr;
-    denied_ns_ctr_ = nullptr;
-    return;
-  }
-  arrived_ctr_ = &registry->counter("service.arrived_objects");
-  admitted_ctr_ = &registry->counter("service.admitted_objects");
-  deferred_ctr_ = &registry->counter("service.deferred_objects");
-  shed_ctr_ = &registry->counter("service.shed_objects");
-  granted_ns_ctr_ = &registry->counter("service.budget_granted_ns");
-  denied_ns_ctr_ = &registry->counter("service.budget_denied_ns");
+  const auto counter = [registry](std::string_view name) {
+    return registry != nullptr ? &registry->counter(name) : nullptr;
+  };
+  arrived_ctr_ = counter("service.arrived_objects");
+  admitted_ctr_ = counter("service.admitted_objects");
+  deferred_ctr_ = counter("service.deferred_objects");
+  shed_ctr_ = counter("service.shed_objects");
+  granted_ctr_ = counter("service.budget_granted_ns");
+  denied_ctr_ = counter("service.budget_denied_ns");
 }
-
-namespace {
-
-/// One admission candidate: either a fresh object (age 0, pointing into the
-/// incoming frames) or a carried one from the parking lot.
-struct Candidate {
-  net::ObjectUpload obj;
-  sim::AgentId vehicle{sim::kInvalidAgent};
-  geom::Pose pose{};
-  double timestamp{0.0};
-  std::uint64_t upload_seq{0};
-  int age{0};
-  std::uint64_t order{0};
-};
-
-}  // namespace
 
 std::vector<net::UploadFrame> AdmissionController::run(
     std::vector<net::UploadFrame> uploads, double t, ServiceStats* stats) {
@@ -64,15 +58,12 @@ std::vector<net::UploadFrame> AdmissionController::run(
   ERPD_REQUIRE(stats != nullptr, "AdmissionController::run: stats is null");
   *stats = ServiceStats{};
 
-  // Budget 0 = latency shedding off: pass everything through, but still
-  // account arrivals so the fate identity holds trivially.
-  if (cfg_.decode_merge_budget_us == 0) {
+  // Budget 0 = shedding off: pass everything through, but still account
+  // arrivals so the fate identity holds trivially.
+  if (policy_.budget == 0) {
     for (const net::UploadFrame& f : uploads) {
       stats->arrived_objects += f.objects.size();
       stats->admitted_objects += f.objects.size();
-      for (const net::ObjectUpload& o : f.objects) {
-        stats->admitted_cost_ns += cost_ns(o);
-      }
     }
     ERPD_ENSURE(parked_.empty(),
                 "AdmissionController: parked objects with a zero budget; the "
@@ -89,31 +80,31 @@ std::vector<net::UploadFrame> AdmissionController::run(
   // order.
   std::vector<Candidate> candidates;
   candidates.reserve(parked_.size() + 16);
-  for (Parked& p : parked_) {
-    candidates.push_back(Candidate{std::move(p.obj), p.vehicle, p.pose,
-                                   p.timestamp, p.upload_seq, p.age + 1,
-                                   p.order});
+  for (Candidate& p : parked_) {
+    ++p.age;
+    candidates.push_back(std::move(p));
   }
   stats->carried_objects = parked_.size();
   parked_.clear();
 
   // Fresh frames keep their skeletons (pose sync for the fleet registry)
-  // even when every object is deferred or shed, mirroring the ingest guard.
+  // even when every object is deferred or shed.
   std::vector<net::UploadFrame> fresh = std::move(uploads);
-  for (net::UploadFrame& f : fresh) {
+  for (std::size_t fi = 0; fi < fresh.size(); ++fi) {
+    net::UploadFrame& f = fresh[fi];
     for (net::ObjectUpload& o : f.objects) {
       candidates.push_back(Candidate{std::move(o), f.vehicle, f.pose,
                                      f.timestamp, f.upload_seq, 0,
-                                     next_order_++});
+                                     next_order_++, fi});
       ++stats->arrived_objects;
     }
     f.objects.clear();
   }
 
   // Admission order: oldest deferrals first (they expire soonest and their
-  // payload is already stale), then biggest clouds first — the same
-  // keep-the-most-perception-value rule as the guard's point-budget shed —
-  // with (vehicle, order) as the deterministic tie-break.
+  // payload is already stale), then biggest clouds first (they carry the
+  // most perception value per header), with (vehicle, order) as the
+  // deterministic tie-break.
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.age != b.age) return a.age > b.age;
@@ -124,25 +115,23 @@ std::vector<net::UploadFrame> AdmissionController::run(
               return a.order < b.order;
             });
 
-  net::LatencyBudget budget(cfg_.decode_merge_budget_us * 1000ull);
-  budget.attach(granted_ns_ctr_, denied_ns_ctr_);
+  net::FrameBudget budget(policy_.budget);
+  budget.attach(granted_ctr_, denied_ctr_);
 
   std::vector<Candidate> admitted;
   admitted.reserve(candidates.size());
   for (Candidate& c : candidates) {
-    const std::uint64_t cost = cost_ns(c.obj);
-    if (budget.try_grant(cost)) {
-      stats->admitted_cost_ns += cost;
+    if (budget.try_grant(cost(c.obj))) {
       ++stats->admitted_objects;
       admitted.push_back(std::move(c));
       continue;
     }
     // Denied: defer if the object is still fresh enough and the parking lot
     // has room, otherwise shed. Both are final fates for this frame.
-    if (c.age < cfg_.max_defer_frames && parked_.size() < cfg_.defer_capacity) {
+    if (c.age < policy_.max_defer_frames &&
+        parked_.size() < policy_.defer_capacity) {
       ++stats->deferred_objects;
-      parked_.push_back(Parked{std::move(c.obj), c.vehicle, c.pose,
-                               c.timestamp, c.upload_seq, c.age, c.order});
+      parked_.push_back(std::move(c));
     } else {
       ++stats->shed_objects;
     }
@@ -169,7 +158,10 @@ std::vector<net::UploadFrame> AdmissionController::run(
   std::vector<net::UploadFrame> out;
   out.reserve(fresh.size() + admitted.size());
   for (Candidate& c : admitted) {
-    if (c.age == 0) continue;  // fresh objects rejoin their skeleton below
+    if (c.age == 0) {
+      fresh[c.frame].objects.push_back(std::move(c.obj));
+      continue;
+    }
     if (out.empty() || out.back().vehicle != c.vehicle ||
         out.back().upload_seq != c.upload_seq) {
       net::UploadFrame f;
@@ -181,15 +173,7 @@ std::vector<net::UploadFrame> AdmissionController::run(
     }
     out.back().objects.push_back(std::move(c.obj));
   }
-  for (net::UploadFrame& f : fresh) {
-    for (Candidate& c : admitted) {
-      if (c.age == 0 && c.vehicle == f.vehicle &&
-          c.upload_seq == f.upload_seq) {
-        f.objects.push_back(std::move(c.obj));
-      }
-    }
-    out.push_back(std::move(f));
-  }
+  for (net::UploadFrame& f : fresh) out.push_back(std::move(f));
 
   if (arrived_ctr_ != nullptr) arrived_ctr_->add(stats->arrived_objects);
   if (admitted_ctr_ != nullptr) admitted_ctr_->add(stats->admitted_objects);

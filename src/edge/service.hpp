@@ -5,16 +5,17 @@
 // bounded number of uploads is drained into it per frame, and the
 // decode+merge stage runs under a per-frame deadline budget. This header
 // holds the knobs (ServiceConfig, default-off so the classic pipeline stays
-// bit-identical) and the admission controller that generalizes the ingest
-// guard's point-budget shedding into LATENCY-aware shedding: each upload's
-// decode+merge cost is estimated from its point/object counts, charged
-// against a net::LatencyBudget, and work that does not fit is deferred to
-// the next frame (bounded parking lot) or shed — lowest perception value
-// first.
+// bit-identical) and the admission controller, the edge's one overload
+// policy: each upload's cost is estimated from its point/object counts,
+// charged against a net::FrameBudget, and work that does not fit is deferred
+// to the next frame (bounded parking lot) or shed — lowest perception value
+// first. The service charges estimated decode+merge nanoseconds; the ingest
+// guard's point budget (DESIGN.md §12) is the same pass with cost = points
+// and no parking.
 //
 // Determinism: the controller runs single-threaded in upload order after the
 // ingest guard; every decision is a pure function of the admitted upload
-// sequence and the config, so results are bit-identical across worker counts
+// sequence and the policy, so results are bit-identical across worker counts
 // and hash seeds. Every object entering admission lands in exactly one fate
 // per frame — admitted, deferred, or shed — and a ContractViolation fires if
 // the partition ever leaks (ServiceStats identity, checked per frame).
@@ -27,6 +28,25 @@
 #include "sim/types.hpp"
 
 namespace erpd::edge {
+
+/// What one AdmissionController enforces, in a single integer cost unit
+/// shared by the budget and the cost model.
+struct AdmissionPolicy {
+  /// Cost grantable per frame. 0 disables shedding (admission passes
+  /// everything).
+  std::uint64_t budget{0};
+  /// Cost model: cost of one object = cost_per_object + cost_per_point x its
+  /// point count.
+  std::uint64_t cost_per_point{0};
+  std::uint64_t cost_per_object{0};
+  /// Objects the deferral parking lot holds across frames; beyond it a
+  /// denied object is shed instead of deferred.
+  std::size_t defer_capacity{0};
+  /// Frames an object may be deferred before it is shed as expired.
+  int max_defer_frames{0};
+
+  void validate() const;
+};
 
 struct ServiceConfig {
   /// Master switch for service mode (the drain cap in the runner + deadline
@@ -57,6 +77,9 @@ struct ServiceConfig {
   int max_defer_frames{3};
 
   void validate() const;
+  /// The admission policy in nanoseconds: the one place the µs budget is
+  /// converted.
+  AdmissionPolicy admission_policy() const;
 };
 
 /// Per-process_frame admission outcome, for FrameOutput/MethodMetrics.
@@ -77,34 +100,29 @@ struct ServiceStats {
   std::size_t deferred_objects{0};
   /// Objects dropped: budget denied with no parking room, or expired.
   std::size_t shed_objects{0};
-  /// Estimated decode+merge cost admitted this frame (ns).
-  std::uint64_t admitted_cost_ns{0};
 };
 
-/// SLO-aware admission controller. Owned by EdgeServer; runs between the
-/// ingest guard and the merge stage when ServiceConfig::enabled.
+/// SLO-aware admission controller. EdgeServer owns one that runs between the
+/// ingest guard and the merge stage when ServiceConfig::enabled; the ingest
+/// guard owns another for its point budget.
 class AdmissionController {
  public:
-  explicit AdmissionController(ServiceConfig cfg = {});
-
-  const ServiceConfig& config() const { return cfg_; }
+  explicit AdmissionController(AdmissionPolicy policy);
 
   /// Attach an observability registry (not owned; null detaches). Admission
   /// decisions then bump service.* counters. Write-only, as everywhere.
   void attach_metrics(obs::MetricsRegistry* registry);
 
-  /// Estimated decode+merge cost of one upload object under the config's
-  /// cost model.
-  std::uint64_t cost_ns(const net::ObjectUpload& o) const {
-    return cfg_.cost_per_object_ns + cfg_.cost_per_point_ns * o.point_count;
+  /// Estimated cost of one upload object under the policy's cost model.
+  std::uint64_t cost(const net::ObjectUpload& o) const {
+    return policy_.cost_per_object + policy_.cost_per_point * o.point_count;
   }
 
-  /// Run deadline admission over one frame's (guard-admitted) uploads plus
+  /// Run budget admission over one frame's (guard-admitted) uploads plus
   /// the parking lot. Returns the admitted frames: re-admitted deferred
   /// objects first (grouped by their source frame), then the fresh frames —
   /// so fresh poses overwrite parked ones in the edge's fleet registry.
-  /// Fresh frame skeletons (validated pose, no surviving objects) are kept,
-  /// mirroring the ingest guard.
+  /// Fresh frame skeletons (validated pose, no surviving objects) are kept.
   std::vector<net::UploadFrame> run(std::vector<net::UploadFrame> uploads,
                                     double t, ServiceStats* stats);
 
@@ -112,30 +130,32 @@ class AdmissionController {
   std::size_t parked_count() const { return parked_.size(); }
 
  private:
-  /// One deferred object, carrying enough of its source frame to be
-  /// re-emitted as an UploadFrame later.
-  struct Parked {
+  /// One admission candidate: a fresh object, or a deferred one parked with
+  /// enough of its source frame to be re-emitted as an UploadFrame later.
+  struct Candidate {
     net::ObjectUpload obj;
     sim::AgentId vehicle{sim::kInvalidAgent};
     geom::Pose pose{};
     double timestamp{0.0};
     std::uint64_t upload_seq{0};
-    /// Completed deferrals when parked (0 on first park); the object ages by
-    /// one each frame it is carried, and is shed at max_defer_frames.
+    /// Completed deferrals (0 while fresh); the object ages by one each
+    /// frame it is carried, and is shed at max_defer_frames.
     int age{0};
     /// Monotone arrival tick, the final deterministic tie-break.
     std::uint64_t order{0};
+    /// A fresh object's frame index in the run() input (unused once parked).
+    std::size_t frame{0};
   };
 
-  ServiceConfig cfg_;
-  std::vector<Parked> parked_;
+  AdmissionPolicy policy_;
+  std::vector<Candidate> parked_;
   std::uint64_t next_order_{0};
   obs::Counter* arrived_ctr_{nullptr};
   obs::Counter* admitted_ctr_{nullptr};
   obs::Counter* deferred_ctr_{nullptr};
   obs::Counter* shed_ctr_{nullptr};
-  obs::Counter* granted_ns_ctr_{nullptr};
-  obs::Counter* denied_ns_ctr_{nullptr};
+  obs::Counter* granted_ctr_{nullptr};
+  obs::Counter* denied_ctr_{nullptr};
 };
 
 }  // namespace erpd::edge

@@ -301,11 +301,6 @@ net::UploadFrame VehicleClient::make_upload(
   if (stats != nullptr) {
     stats->raw_points = scan.cloud.size();
     stats->sensing_seconds = sensing_seconds;
-    stats->uploaded_points = 0;
-    stats->uploaded_bytes = frame.total_bytes();
-    for (const net::ObjectUpload& o : frame.objects) {
-      stats->uploaded_points += o.point_count;
-    }
     stats->processing_seconds = processing_seconds;
   }
   return frame;

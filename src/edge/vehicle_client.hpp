@@ -53,8 +53,6 @@ struct ClientConfig {
 
 struct ClientFrameStats {
   std::size_t raw_points{0};
-  std::size_t uploaded_points{0};
-  std::size_t uploaded_bytes{0};
   /// Uplink bytes avoided this frame by the redundancy layer: coverage
   /// suppression savings plus delta-vs-keyframe savings. Zero when
   /// RedundancyConfig is off.

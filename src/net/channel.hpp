@@ -7,7 +7,6 @@
 // (Fig. 14): transfer delay = base latency + bytes / bandwidth.
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/check.hpp"
@@ -52,17 +51,20 @@ struct WirelessConfig {
   }
 };
 
-/// Per-frame byte budget with first-come-first-served granting.
+/// Per-frame budget of integer units with first-come-first-served granting.
+/// The channel grants bytes; the edge's admission controller (DESIGN.md §17)
+/// grants estimated cost in its policy's unit (nanoseconds, or points for
+/// the ingest guard's point budget). Integer units keep every grant decision
+/// exact and platform-independent.
 class FrameBudget {
  public:
-  explicit FrameBudget(std::size_t capacity_bytes)
-      : capacity_(capacity_bytes) {}
+  explicit FrameBudget(std::size_t capacity) : capacity_(capacity) {}
 
   std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
 
-  /// Attach byte counters fed by every grant decision: `granted` accumulates
-  /// admitted bytes, `denied` the bytes refused (the shortfall for partial
+  /// Attach unit counters fed by every grant decision: `granted` accumulates
+  /// admitted units, `denied` the units refused (the shortfall for partial
   /// grants). Either may be null. Observability only — recording never
   /// changes what is granted.
   void attach(obs::Counter* granted, obs::Counter* denied) {
@@ -70,7 +72,7 @@ class FrameBudget {
     denied_ = denied;
   }
 
-  /// Bytes still grantable this frame. Guarded so a corrupted or
+  /// Units still grantable this frame. Guarded so a corrupted or
   /// over-granted state reports 0 instead of underflowing std::size_t to a
   /// near-infinite budget; ERPD_DCHECK still flags the broken invariant in
   /// checked builds.
@@ -80,27 +82,29 @@ class FrameBudget {
     return used_ <= capacity_ ? capacity_ - used_ : 0;
   }
 
-  /// True if the whole request fits; grants it atomically.
-  bool try_grant(std::size_t bytes) {
-    if (bytes > remaining()) {
-      if (denied_ != nullptr) denied_->add(bytes);
+  /// True if the whole request fits; grants it atomically. A denied request
+  /// leaves the budget untouched, so later (smaller) requests can still use
+  /// the headroom.
+  bool try_grant(std::size_t units) {
+    if (units > remaining()) {
+      if (denied_ != nullptr) denied_->add(units);
       return false;
     }
-    used_ += bytes;
-    ERPD_ENSURE(used_ <= capacity_, "FrameBudget: grant of ", bytes,
-                " bytes overflowed capacity ", capacity_);
-    if (granted_ != nullptr) granted_->add(bytes);
+    used_ += units;
+    ERPD_ENSURE(used_ <= capacity_, "FrameBudget: grant of ", units,
+                " units overflowed capacity ", capacity_);
+    if (granted_ != nullptr) granted_->add(units);
     return true;
   }
 
-  /// Grant as much of the request as fits; returns granted bytes.
-  std::size_t grant_partial(std::size_t bytes) {
-    const std::size_t g = bytes <= remaining() ? bytes : remaining();
+  /// Grant as much of the request as fits; returns granted units.
+  std::size_t grant_partial(std::size_t units) {
+    const std::size_t g = units <= remaining() ? units : remaining();
     used_ += g;
     ERPD_ENSURE(used_ <= capacity_, "FrameBudget: partial grant of ", g,
-                " bytes overflowed capacity ", capacity_);
+                " units overflowed capacity ", capacity_);
     if (granted_ != nullptr) granted_->add(g);
-    if (denied_ != nullptr) denied_->add(bytes - g);
+    if (denied_ != nullptr) denied_->add(units - g);
     return g;
   }
 
@@ -109,58 +113,6 @@ class FrameBudget {
  private:
   std::size_t capacity_;
   std::size_t used_{0};
-  obs::Counter* granted_{nullptr};
-  obs::Counter* denied_{nullptr};
-};
-
-/// Per-frame simulated-latency budget with first-come-first-served granting
-/// — FrameBudget's grant discipline over integer nanoseconds instead of
-/// bytes. The edge's admission controller (DESIGN.md §17) charges each
-/// upload's estimated decode+merge cost against one of these; integer
-/// nanoseconds keep every grant decision exact and platform-independent.
-class LatencyBudget {
- public:
-  explicit LatencyBudget(std::uint64_t capacity_ns) : capacity_(capacity_ns) {}
-
-  std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t used() const { return used_; }
-
-  /// Attach cost counters fed by every grant decision: `granted` accumulates
-  /// admitted nanoseconds, `denied` the refused ones. Either may be null.
-  /// Observability only — recording never changes what is granted.
-  void attach(obs::Counter* granted, obs::Counter* denied) {
-    granted_ = granted;
-    denied_ = denied;
-  }
-
-  /// Nanoseconds still grantable this frame. Same underflow guard as
-  /// FrameBudget::remaining.
-  std::uint64_t remaining() const {
-    ERPD_DCHECK(used_ <= capacity_, "LatencyBudget: used ", used_,
-                " exceeds capacity ", capacity_);
-    return used_ <= capacity_ ? capacity_ - used_ : 0;
-  }
-
-  /// True if the whole cost fits; grants it atomically. A denied grant
-  /// leaves the budget untouched, so the freed headroom stays available for
-  /// later (cheaper) requests — the re-grant discipline FrameBudget uses.
-  bool try_grant(std::uint64_t cost_ns) {
-    if (cost_ns > remaining()) {
-      if (denied_ != nullptr) denied_->add(cost_ns);
-      return false;
-    }
-    used_ += cost_ns;
-    ERPD_ENSURE(used_ <= capacity_, "LatencyBudget: grant of ", cost_ns,
-                " ns overflowed capacity ", capacity_);
-    if (granted_ != nullptr) granted_->add(cost_ns);
-    return true;
-  }
-
-  void reset() { used_ = 0; }
-
- private:
-  std::uint64_t capacity_;
-  std::uint64_t used_{0};
   obs::Counter* granted_{nullptr};
   obs::Counter* denied_{nullptr};
 };

@@ -144,7 +144,6 @@ class Pedestrian {
 
   double s() const { return s_; }
   double speed() const { return speed_; }
-  void set_speed(double v) { speed_ = v; }
 
   geom::Vec2 position() const;
   double heading() const;

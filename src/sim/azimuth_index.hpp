@@ -41,10 +41,6 @@ class AzimuthIndex {
             entries_.data() + starts_[ia + 1]};
   }
 
-  std::size_t bin_count() const {
-    return starts_.empty() ? 0 : starts_.size() - 1;
-  }
-
  private:
   /// CSR: bin ia's candidates are entries_[starts_[ia] .. starts_[ia + 1]).
   std::vector<std::uint32_t> starts_;

@@ -88,7 +88,6 @@ class LidarSensor {
   /// test_lidar_equivalence). Off by default; only tests and perf_lidar
   /// turn it on, per sensor instance.
   void set_brute_force(bool brute) { brute_force_ = brute; }
-  bool brute_force() const { return brute_force_; }
 
  private:
   LidarConfig cfg_;

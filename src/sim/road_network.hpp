@@ -102,9 +102,6 @@ class RoadNetwork {
   geom::Aabb intersection_box() const;
   bool in_intersection(geom::Vec2 p) const;
 
-  /// Distance from intersection center to the stop line along an arm.
-  double stop_line_distance() const { return stop_line_dist_; }
-
   const std::vector<Route>& routes() const { return routes_; }
   const Route& route(int id) const {
     ERPD_REQUIRE(id >= 0 && static_cast<std::size_t>(id) < routes_.size(),

@@ -102,10 +102,6 @@ std::string metrics_json(const std::vector<CaseResult>& results,
 /// Write `content` to `path`; returns false on I/O failure.
 bool write_file(const std::string& path, const std::string& content);
 
-/// Order-stable 64-bit fingerprint over the *simulated* metric fields
-/// (wall-clock timings excluded — they legitimately vary run to run).
-std::uint64_t metrics_fingerprint(const edge::MethodMetrics& m);
-
 /// Fold one dissemination decision into a running fingerprint.
 std::uint64_t fold_decision(std::uint64_t h, int frame,
                             const net::Dissemination& d);

@@ -8,6 +8,7 @@
 #include "core/rng.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
+#include "obs/metrics.hpp"
 
 namespace erpd::net {
 namespace {
@@ -49,6 +50,16 @@ TEST(FrameBudget, GrantAllOrNothing) {
   EXPECT_EQ(b.used(), 60u);
   EXPECT_TRUE(b.try_grant(40));
   EXPECT_EQ(b.remaining(), 0u);
+}
+
+TEST(FrameBudget, AttachedCountersRecordEveryDecision) {
+  obs::MetricsRegistry reg;
+  FrameBudget b(100);
+  b.attach(&reg.counter("granted"), &reg.counter("denied"));
+  EXPECT_TRUE(b.try_grant(60));
+  EXPECT_FALSE(b.try_grant(50));
+  EXPECT_EQ(reg.counter("granted").value(), 60u);
+  EXPECT_EQ(reg.counter("denied").value(), 50u);
 }
 
 TEST(FrameBudget, PartialGrant) {

@@ -12,6 +12,7 @@
 
 #include "core/det_hash.hpp"
 #include "core/thread_pool.hpp"
+#include "edge/metrics_io.hpp"
 #include "edge/system_runner.hpp"
 #include "pointcloud/encoding.hpp"
 #include "scenario_harness.hpp"
@@ -182,7 +183,7 @@ TEST(Determinism, ZeroFaultConfigIsANoOp) {
       edge::make_runner_config(edge::Method::kOurs, net::WirelessConfig{});
   rc.duration = 4.0;
   edge::SystemRunner plain(rc);
-  const std::uint64_t ref = harness::metrics_fingerprint(plain.run(a));
+  const std::uint64_t ref = edge::metrics_fingerprint(plain.run(a));
 
   sim::Scenario b = sim::make_unprotected_left_turn(
       harness::default_intersection(42));
@@ -190,18 +191,18 @@ TEST(Determinism, ZeroFaultConfigIsANoOp) {
   rf.fault = net::FaultConfig{};  // explicit all-zero config
   ASSERT_FALSE(rf.fault.active());
   edge::SystemRunner gated(rf);
-  EXPECT_EQ(harness::metrics_fingerprint(gated.run(b)), ref);
+  EXPECT_EQ(edge::metrics_fingerprint(gated.run(b)), ref);
 }
 
 TEST(Determinism, FaultMatrixIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   for (const harness::FaultCase& fc : harness::default_fault_matrix()) {
     const edge::MethodMetrics ref = run_fault_case(fc, 1);
-    const std::uint64_t ref_fp = harness::metrics_fingerprint(ref);
+    const std::uint64_t ref_fp = edge::metrics_fingerprint(ref);
     for (const std::size_t t : kThreadCounts) {
       const edge::MethodMetrics got = run_fault_case(fc, t);
       expect_identical(got, ref, t);
-      EXPECT_EQ(harness::metrics_fingerprint(got), ref_fp)
+      EXPECT_EQ(edge::metrics_fingerprint(got), ref_fp)
           << fc.name << " @ " << t << " threads";
     }
   }
@@ -229,7 +230,7 @@ std::uint64_t seed42_fingerprint() {
   edge::RunnerConfig rc = edge::make_runner_config(edge::Method::kOurs);
   rc.duration = 4.0;
   edge::SystemRunner runner(rc);
-  return harness::metrics_fingerprint(runner.run(sc));
+  return edge::metrics_fingerprint(runner.run(sc));
 }
 
 TEST(Determinism, FingerprintImmuneToHashSeedShuffle) {
@@ -269,13 +270,13 @@ TEST(Determinism, ServiceModeFingerprintImmuneToHashSeedShuffle) {
   core::set_det_hash_seed(0);
   const edge::MethodMetrics ref = run_fault_case(fc, 2);
   ASSERT_GT(ref.service_arrived_objects, 0);  // the service path engaged
-  const std::uint64_t ref_fp = harness::metrics_fingerprint(ref);
+  const std::uint64_t ref_fp = edge::metrics_fingerprint(ref);
 
   for (const std::uint64_t shuffle :
        {std::uint64_t{0x9e3779b97f4a7c15}, std::uint64_t{1},
         std::uint64_t{0xdeadbeefcafef00d}}) {
     core::set_det_hash_seed(core::mix64(shuffle));
-    EXPECT_EQ(harness::metrics_fingerprint(run_fault_case(fc, 2)), ref_fp)
+    EXPECT_EQ(edge::metrics_fingerprint(run_fault_case(fc, 2)), ref_fp)
         << "service-mode hash-order dependence (shuffle seed " << shuffle
         << ")";
   }
@@ -319,11 +320,11 @@ TEST(Determinism, CrowdServiceIdenticalAcrossThreadCounts) {
   const edge::MethodMetrics ref = run_crowd(1);
   ASSERT_GT(ref.disseminations, 0);  // relevance rows produced candidates
   ASSERT_GT(ref.service_arrived_objects, 0);
-  const std::uint64_t ref_fp = harness::metrics_fingerprint(ref);
+  const std::uint64_t ref_fp = edge::metrics_fingerprint(ref);
   for (const std::size_t t : kThreadCounts) {
     const edge::MethodMetrics got = run_crowd(t);
     expect_identical(got, ref, t);
-    EXPECT_EQ(harness::metrics_fingerprint(got), ref_fp) << t << " threads";
+    EXPECT_EQ(edge::metrics_fingerprint(got), ref_fp) << t << " threads";
   }
 }
 
@@ -331,11 +332,11 @@ TEST(Determinism, CrowdServiceImmuneToHashSeedShuffle) {
   PoolGuard pool_guard;
   HashSeedGuard hash_guard;
   core::set_det_hash_seed(0);
-  const std::uint64_t ref = harness::metrics_fingerprint(run_crowd(2));
+  const std::uint64_t ref = edge::metrics_fingerprint(run_crowd(2));
   for (const std::uint64_t shuffle :
        {std::uint64_t{0x9e3779b97f4a7c15}, std::uint64_t{1}}) {
     core::set_det_hash_seed(core::mix64(shuffle));
-    EXPECT_EQ(harness::metrics_fingerprint(run_crowd(2)), ref)
+    EXPECT_EQ(edge::metrics_fingerprint(run_crowd(2)), ref)
         << "crowd-service replay drifted under hash shuffle (seed " << shuffle
         << ")";
   }
@@ -363,7 +364,7 @@ std::uint64_t run_generated(std::uint64_t seed, std::size_t threads,
   // TSan; the committed anchors cover full-duration replays.
   rc.duration = 4.0;
   edge::SystemRunner runner(rc);
-  return harness::metrics_fingerprint(runner.run(sc));
+  return edge::metrics_fingerprint(runner.run(sc));
 }
 
 TEST(Determinism, GeneratedScenariosIdenticalAcrossThreadCounts) {

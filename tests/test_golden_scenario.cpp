@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "edge/metrics_io.hpp"
 #include "scenario_harness.hpp"
 
 namespace erpd {
@@ -63,7 +64,7 @@ std::string render_snapshot() {
                 "metrics_fingerprint 0x%016llx\n",
                 static_cast<unsigned long long>(decision_hash),
                 static_cast<unsigned long long>(
-                    harness::metrics_fingerprint(m)));
+                    edge::metrics_fingerprint(m)));
   out << tail;
   return out.str();
 }

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "core/check.hpp"
+#include "core/rng.hpp"
 #include "edge/ingest_guard.hpp"
 #include "edge/system_runner.hpp"
 #include "obs/metrics.hpp"
@@ -317,6 +321,124 @@ TEST(IngestGuard, SheddingKeepsBiggestCloudsAndIsDeterministic) {
     EXPECT_EQ(rb[i].objects.size(), ra[i].objects.size()) << i;
   }
   EXPECT_EQ(sb.shed_uploads, sa.shed_uploads);
+}
+
+/// The point-budget shed as the guard ran it before the shed became an
+/// admission pass: biggest clouds first, then vehicle, then object index,
+/// granted first-fit while `used + points <= budget`. Returns the shed count.
+std::size_t reference_shed(std::vector<net::UploadFrame>& admitted,
+                           std::size_t budget) {
+  struct Slot {
+    std::size_t frame;
+    std::size_t object;
+    std::size_t points;
+    sim::AgentId vehicle;
+  };
+  std::vector<Slot> slots;
+  std::size_t total = 0;
+  for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
+    for (std::size_t oi = 0; oi < admitted[fi].objects.size(); ++oi) {
+      const std::size_t pts = admitted[fi].objects[oi].point_count;
+      slots.push_back({fi, oi, pts, admitted[fi].vehicle});
+      total += pts;
+    }
+  }
+  if (total <= budget) return 0;
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    if (a.points != b.points) return a.points > b.points;
+    if (a.vehicle != b.vehicle) return a.vehicle < b.vehicle;
+    return a.object < b.object;
+  });
+  std::vector<std::vector<bool>> keep(admitted.size());
+  for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
+    keep[fi].assign(admitted[fi].objects.size(), false);
+  }
+  std::size_t used = 0;
+  std::size_t shed = 0;
+  for (const Slot& s : slots) {
+    if (used + s.points <= budget) {
+      used += s.points;
+      keep[s.frame][s.object] = true;
+    } else {
+      ++shed;
+    }
+  }
+  for (std::size_t fi = 0; fi < admitted.size(); ++fi) {
+    net::UploadFrame& f = admitted[fi];
+    std::vector<net::ObjectUpload> remaining;
+    for (std::size_t oi = 0; oi < f.objects.size(); ++oi) {
+      if (keep[fi][oi]) remaining.push_back(std::move(f.objects[oi]));
+    }
+    f.objects = std::move(remaining);
+  }
+  return shed;
+}
+
+// The admission-pass shed matches the reference on seeded batches: 0-12
+// vehicles in shuffled id order, 0-6 objects each, point counts on a
+// multiple-of-5 lattice so ties between vehicles and within a frame are
+// common, and budgets from 1 to the batch total + 10 so exact fits occur.
+// Each batch is admitted twice by the same guard, so the second pass runs
+// on a controller that has already served a frame.
+TEST(IngestGuard, PointBudgetShedMatchesReferenceOnSeededBatches) {
+  core::SplitMix64 rng(core::seed_mix(0x5bedull, 17));
+  obs::MetricsRegistry reg;
+  std::size_t total_shed = 0;
+  std::size_t batches_with_shed = 0;
+  for (int batch = 0; batch < 4000; ++batch) {
+    std::vector<sim::AgentId> ids(12);
+    std::iota(ids.begin(), ids.end(), 1);
+    for (std::size_t i = ids.size() - 1; i > 0; --i) {
+      std::swap(ids[i], ids[rng() % (i + 1)]);
+    }
+    const double t = 0.1 * (batch + 1);
+    std::vector<net::UploadFrame> uploads;
+    std::uint64_t next_seq = 1;
+    std::size_t total = 0;
+    const std::size_t vehicles = rng() % 13;
+    for (std::size_t v = 0; v < vehicles; ++v) {
+      const sim::AgentId id = ids[v];
+      net::UploadFrame f =
+          make_frame(id, t, {10.0 * id, 0.0}, rng() % 7, 0);
+      for (net::ObjectUpload& o : f.objects) {
+        o.point_count = 5 * (rng() % 9);
+        o.object_seq = next_seq++;
+        total += o.point_count;
+      }
+      uploads.push_back(std::move(f));
+    }
+    IngestConfig cfg = enabled_config();
+    cfg.point_budget_per_frame = 1 + rng() % (total + 10);
+    std::vector<net::UploadFrame> want = uploads;
+    const std::size_t want_shed =
+        reference_shed(want, cfg.point_budget_per_frame);
+
+    IngestGuard guard(cfg);
+    guard.attach_metrics(&reg);
+    for (int pass = 0; pass < 2; ++pass) {
+      const double now = t + 0.05 * pass;
+      for (net::UploadFrame& f : uploads) f.timestamp = now;
+      IngestStats stats;
+      const std::vector<net::UploadFrame> got =
+          guard.admit(uploads, now, &stats);
+      ASSERT_EQ(stats.shed_uploads, want_shed) << "batch " << batch;
+      ASSERT_EQ(got.size(), want.size()) << "batch " << batch;
+      for (std::size_t fi = 0; fi < got.size(); ++fi) {
+        ASSERT_EQ(got[fi].vehicle, want[fi].vehicle) << "batch " << batch;
+        ASSERT_EQ(got[fi].objects.size(), want[fi].objects.size())
+            << "batch " << batch << " frame " << fi;
+        for (std::size_t oi = 0; oi < got[fi].objects.size(); ++oi) {
+          ASSERT_EQ(got[fi].objects[oi].object_seq,
+                    want[fi].objects[oi].object_seq)
+              << "batch " << batch << " frame " << fi << " object " << oi;
+        }
+      }
+    }
+    total_shed += 2 * want_shed;
+    if (want_shed > 0) ++batches_with_shed;
+  }
+  EXPECT_EQ(reg.counter("ingest.shed_uploads").value(), total_shed);
+  EXPECT_GT(batches_with_shed, 1000u);  // the sweep really exercises shedding
 }
 
 TEST(IngestGuard, NoSheddingWithinBudget) {

@@ -270,7 +270,7 @@ TEST(ObsContract, RegistryDoesNotPerturbSimulation) {
     rc.duration = 4.0;
     rc.metrics = reg;
     edge::SystemRunner runner(rc);
-    return harness::metrics_fingerprint(runner.run(sc));
+    return edge::metrics_fingerprint(runner.run(sc));
   };
   obs::MetricsRegistry reg;
   EXPECT_EQ(fingerprint(nullptr), fingerprint(&reg));

@@ -1,12 +1,13 @@
 // Unit tests for the service-mode edge pipeline (DESIGN.md §17): the
 // deterministic MPSC ingest queue (capacity, backpressure fates, drain
 // order under 1/2/8 parallel producers — the TSan-run stress for the
-// determinism suite), the LatencyBudget grant discipline, the SLO-aware
-// admission controller's admit/defer/shed fate partition, and the
-// off-by-default bit-identity contract of ServiceConfig.
+// determinism suite), the SLO-aware admission controller's
+// admit/defer/shed fate partition, and the off-by-default bit-identity
+// contract of ServiceConfig.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -16,8 +17,8 @@
 #include "core/mpsc_queue.hpp"
 #include "core/thread_pool.hpp"
 #include "edge/service.hpp"
+#include "edge/metrics_io.hpp"
 #include "edge/system_runner.hpp"
-#include "net/channel.hpp"
 #include "obs/metrics.hpp"
 #include "scenario_harness.hpp"
 
@@ -127,32 +128,6 @@ TEST(MpscLaneQueue, DrainOrderIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// LatencyBudget
-// ---------------------------------------------------------------------------
-
-TEST(LatencyBudget, GrantDisciplineMatchesFrameBudget) {
-  net::LatencyBudget b(1000);
-  EXPECT_EQ(b.remaining(), 1000u);
-  EXPECT_TRUE(b.try_grant(600));
-  EXPECT_FALSE(b.try_grant(500));  // denied grant leaves the budget intact
-  EXPECT_EQ(b.remaining(), 400u);
-  EXPECT_TRUE(b.try_grant(400));  // freed headroom re-granted to smaller work
-  EXPECT_EQ(b.remaining(), 0u);
-  b.reset();
-  EXPECT_EQ(b.remaining(), 1000u);
-}
-
-TEST(LatencyBudget, AttachedCountersRecordEveryDecision) {
-  obs::MetricsRegistry reg;
-  net::LatencyBudget b(100);
-  b.attach(&reg.counter("granted"), &reg.counter("denied"));
-  EXPECT_TRUE(b.try_grant(60));
-  EXPECT_FALSE(b.try_grant(50));
-  EXPECT_EQ(reg.counter("granted").value(), 60u);
-  EXPECT_EQ(reg.counter("denied").value(), 50u);
-}
-
-// ---------------------------------------------------------------------------
 // AdmissionController
 // ---------------------------------------------------------------------------
 
@@ -190,13 +165,17 @@ TEST(ServiceConfig, ValidateRejectsBadValues) {
   cfg.cost_per_point_ns = 0;
   cfg.cost_per_object_ns = 0;
   EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
+  cfg = {};
+  cfg.decode_merge_budget_us =
+      std::numeric_limits<std::uint64_t>::max() / 1000 + 1;  // ns overflow
+  EXPECT_THROW(cfg.validate(), erpd::ContractViolation);
   EXPECT_NO_THROW(edge::ServiceConfig{}.validate());
 }
 
 TEST(AdmissionController, ZeroBudgetPassesEverythingThrough) {
   edge::ServiceConfig cfg;
   cfg.enabled = true;  // budget stays 0: no latency shedding
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(cfg.admission_policy());
   edge::ServiceStats stats;
   const auto out =
       ac.run({service_frame(1, 0.1, {50, 20}), service_frame(2, 0.1, {30})},
@@ -216,7 +195,9 @@ TEST(AdmissionController, BudgetShedsSmallestCloudsFirst) {
   cfg.cost_per_point_ns = 100;
   cfg.max_defer_frames = 0;  // shed immediately, no parking
   cfg.decode_merge_budget_us = 13;  // 13000 ns
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(cfg.admission_policy());
+  obs::MetricsRegistry reg;
+  ac.attach_metrics(&reg);
   edge::ServiceStats stats;
   // Costs: 100 pts -> 11000 ns, 50 pts -> 6000 ns, 10 pts -> 2000 ns.
   // Value order admits the 100-point cloud (11000), then denies the
@@ -228,7 +209,8 @@ TEST(AdmissionController, BudgetShedsSmallestCloudsFirst) {
   EXPECT_EQ(stats.arrived_objects, 3u);
   EXPECT_EQ(stats.admitted_objects, 2u);
   EXPECT_EQ(stats.shed_objects, 1u);
-  EXPECT_EQ(stats.admitted_cost_ns, 13000u);
+  EXPECT_EQ(reg.counter("service.budget_granted_ns").value(), 13000u);
+  EXPECT_EQ(reg.counter("service.budget_denied_ns").value(), 6000u);
   ASSERT_EQ(total_objects(out), 2u);
   // Both fresh frame skeletons survive (validated poses) even where an
   // object was shed.
@@ -246,7 +228,7 @@ TEST(AdmissionController, DeniedWorkIsParkedThenReadmittedWithPriority) {
   cfg.cost_per_point_ns = 100;
   cfg.decode_merge_budget_us = 12;  // fits one 100-point object per frame
   cfg.max_defer_frames = 3;
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(cfg.admission_policy());
 
   // Frame 1: two equally expensive objects from two vehicles; vehicle 1 wins
   // the tie-break, vehicle 2's object is deferred.
@@ -274,6 +256,26 @@ TEST(AdmissionController, DeniedWorkIsParkedThenReadmittedWithPriority) {
   EXPECT_TRUE(out2[1].objects.empty());
 }
 
+// A duplicated upload (the fault layer's kDuplicate, with no ingest guard to
+// reject it) shares its original's (vehicle, upload_seq). Each copy must get
+// back exactly its own admitted objects.
+TEST(AdmissionController, DuplicateFramesEachKeepTheirOwnObjects) {
+  edge::ServiceConfig cfg;
+  cfg.enabled = true;
+  cfg.decode_merge_budget_us = 1000;  // admits everything below
+  edge::AdmissionController ac(cfg.admission_policy());
+  edge::ServiceStats stats;
+  const net::UploadFrame f = service_frame(1, 0.1, {50, 20});
+  const auto out = ac.run({f, f}, 0.1, &stats);
+  EXPECT_EQ(stats.admitted_objects, 4u);
+  ASSERT_EQ(out.size(), 2u);
+  for (const net::UploadFrame& g : out) {
+    ASSERT_EQ(g.objects.size(), 2u);
+    EXPECT_EQ(g.objects[0].point_count, 50u);
+    EXPECT_EQ(g.objects[1].point_count, 20u);
+  }
+}
+
 TEST(AdmissionController, DeferralExpiresIntoShedAtMaxDeferFrames) {
   edge::ServiceConfig cfg;
   cfg.enabled = true;
@@ -281,7 +283,7 @@ TEST(AdmissionController, DeferralExpiresIntoShedAtMaxDeferFrames) {
   cfg.cost_per_point_ns = 100;
   cfg.decode_merge_budget_us = 12;
   cfg.max_defer_frames = 2;
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(cfg.admission_policy());
 
   // Each frame two fresh 100-point objects arrive but the budget fits only
   // one, so the backlog grows. Deferrals re-enter one frame older; once the
@@ -313,7 +315,7 @@ TEST(AdmissionController, ParkingLotCapacityOverflowsIntoShed) {
   cfg.cost_per_point_ns = 100;
   cfg.decode_merge_budget_us = 1;  // 1000 ns: nothing with points fits
   cfg.defer_capacity = 2;
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(cfg.admission_policy());
   edge::ServiceStats stats;
   ac.run({service_frame(1, 0.1, {10, 10, 10, 10})}, 0.1, &stats);
   EXPECT_EQ(stats.arrived_objects, 4u);
@@ -331,7 +333,7 @@ TEST(AdmissionController, CountersRecordThroughTheRegistry) {
   cfg.cost_per_point_ns = 100;
   cfg.decode_merge_budget_us = 12;
   cfg.max_defer_frames = 0;
-  edge::AdmissionController ac(cfg);
+  edge::AdmissionController ac(cfg.admission_policy());
   ac.attach_metrics(&reg);
   edge::ServiceStats stats;
   ac.run({service_frame(1, 0.1, {100, 100})}, 0.1, &stats);
@@ -353,7 +355,7 @@ std::uint64_t closed_loop_fingerprint(const edge::ServiceConfig& service) {
   rc.duration = 3.0;
   rc.service = service;
   edge::SystemRunner runner(rc);
-  return harness::metrics_fingerprint(runner.run(sc));
+  return edge::metrics_fingerprint(runner.run(sc));
 }
 
 TEST(ServiceMode, DisabledConfigIsBitIdenticalWhateverTheKnobsSay) {
